@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/event_queue.hpp"
 #include "core/task.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/distlu.hpp"
@@ -125,6 +126,33 @@ void BM_queue_push_pop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * depth);
 }
 BENCHMARK(BM_queue_push_pop)->Arg(1000)->Arg(100000);
+
+void BM_queue_far_hold(benchmark::State& state) {
+  // Hold model on the raw engine queue: 1,000 events in flight, each pop
+  // followed by a push at the popped time plus an exponential increment
+  // of mean 1 ms — far wider than the ~67 us ring, so most pushes land
+  // in the far heap and most pops slide the window (the regime of a
+  // modeled LINPACK's compute charges and a platform month's day-scale
+  // events, which BM_queue_push_pop never reaches).
+  constexpr int kInFlight = 1000;
+  constexpr std::size_t kIncrements = 4096;  // power of two: cheap wrap
+  Rng rng(5);
+  std::vector<std::uint64_t> incr(kIncrements);
+  for (auto& d : incr)
+    d = static_cast<std::uint64_t>(rng.exponential(1.0 / 1e9));  // ps
+  sim::detail::EventQueue q;
+  std::uint64_t seq = 0;
+  std::size_t next = 0;
+  for (; seq < kInFlight; ++seq)
+    q.push({incr[seq % kIncrements], seq, 0});
+  for (auto _ : state) {
+    const sim::detail::QEvent ev = q.pop();
+    benchmark::DoNotOptimize(ev);
+    q.push({ev.when + incr[next++ & (kIncrements - 1)], seq++, 0});
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_queue_far_hold);
 
 void BM_schedule_call_small_capture(benchmark::State& state) {
   // The flit-router shape: a lambda capturing a couple of pointers

@@ -16,8 +16,13 @@
 //   - a ring of kBuckets unsorted near-future buckets of kBucketWidth
 //     picoseconds each (~67 us window total), appended to in O(1) and
 //     heapified only when they become active;
-//   - a far-future binary min-heap for everything beyond the window,
-//     bulk-redistributed into the ring when the window advances.
+//   - a far-future binary min-heap for everything beyond the window.
+//     When the earliest pending event is far, the window jumps to its
+//     bucket and only the k far events that now fit are popped off the
+//     heap into the active bucket or their ring slots: O(k log F) per
+//     slide for F far events, never a scan or rebuild of the far heap
+//     (a modeled LINPACK's multi-ms compute charges slide the window
+//     millions of times per run).
 //
 // Ordering is exactly (time, sequence) — identical to the old
 // priority_queue tie-break — because buckets partition time and both
@@ -183,17 +188,20 @@ class BasicEventQueue {
                      ring_slot);
       active_.swap(ring_[ring_slot]);  // recycles both vectors' capacity
       clear_bit(ring_slot);
-      std::make_heap(active_.begin(), active_.end(), EventAfter{});
+      // Most activated buckets hold a single event; skip the heapify.
+      if (active_.size() > 1)
+        std::make_heap(active_.begin(), active_.end(), EventAfter{});
       return;
     }
     slide_to_far(far_bucket);
   }
 
   // The earliest pending event lives in the far heap: jump the window to
-  // its bucket and redistribute every far event that now fits. Existing
-  // ring buckets all fit the new window too (they lie in
-  // (far_bucket, old_active + kBuckets) ⊆ [far_bucket, far_bucket +
-  // kBuckets)), so slots never collide across different buckets.
+  // its bucket and pop off the far heap exactly the events that now fit
+  // (until its minimum lies past the window). Existing ring buckets all
+  // fit the new window too (they lie in (far_bucket, old_active +
+  // kBuckets) ⊆ [far_bucket, far_bucket + kBuckets)), so slots never
+  // collide across different buckets.
   void slide_to_far(std::uint64_t far_bucket) {
     HPCCSIM_ASSERT(far_bucket != kNoBucket);
     active_bucket_ = far_bucket;
@@ -205,24 +213,22 @@ class BasicEventQueue {
       clear_bit(aslot);
     }
     const std::uint64_t window_end = far_bucket + kBuckets;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < far_.size(); ++i) {
-      const QEvent ev = far_[i];
+    while (!far_.empty() && (far_.front().when >> kBucketBits) < window_end) {
+      std::pop_heap(far_.begin(), far_.end(), EventAfter{});
+      const QEvent ev = far_.back();
+      far_.pop_back();
       const std::uint64_t b = ev.when >> kBucketBits;
       if (b == far_bucket) {
         active_.push_back(ev);
-      } else if (b < window_end) {
+      } else {
         const std::size_t slot = static_cast<std::size_t>(b) & kSlotMask;
         ring_[slot].push_back(ev);
         occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-      } else {
-        far_[kept++] = ev;
       }
     }
-    far_.resize(kept);
-    std::make_heap(far_.begin(), far_.end(), EventAfter{});
-    std::make_heap(active_.begin(), active_.end(), EventAfter{});
     HPCCSIM_ASSERT(!active_.empty());
+    if (active_.size() > 1)
+      std::make_heap(active_.begin(), active_.end(), EventAfter{});
   }
 
   void clear_bit(std::size_t slot) {

@@ -347,19 +347,24 @@ Task<> lu_node_program(NxContext& ctx, LuState& st) {
 
     // ---- 3. apply row swaps to non-panel local columns ----
     {
-      // Columns outside the panel, in local indexing.
-      out_cols.clear();
-      for (std::int64_t lc = 0; lc < lcols; ++lc) {
-        const std::int64_t gc = dist.global_col(pcol, lc);
-        if (gc < j0 || gc >= j0 + jb) out_cols.push_back(lc);
+      // Columns outside the panel. Panel block k lies wholly on process
+      // column pc, so only the count is needed to model the swaps; the
+      // local indices are built only when values move.
+      const std::int64_t n_out = lcols - (pcol == pc ? jb : 0);
+      if (st.numeric) {
+        out_cols.clear();
+        for (std::int64_t lc = 0; lc < lcols; ++lc) {
+          const std::int64_t gc = dist.global_col(pcol, lc);
+          if (gc < j0 || gc >= j0 + jb) out_cols.push_back(lc);
+        }
+        HPCCSIM_ASSERT(static_cast<std::int64_t>(out_cols.size()) == n_out);
       }
       // Process column 0 also carries the right-hand side, whose rows
       // must follow the same pivot swaps (HPL treats b as an extra
       // column of the matrix); its value rides along in the exchange.
       const bool has_b = pcol == 0;
-      if (!out_cols.empty() || has_b) {
-        const std::int64_t swap_width =
-            static_cast<std::int64_t>(out_cols.size()) + (has_b ? 1 : 0);
+      if (n_out > 0 || has_b) {
+        const std::int64_t swap_width = n_out + (has_b ? 1 : 0);
         for (std::int64_t idx = 0;
              idx < static_cast<std::int64_t>(piv_this_panel.size()); ++idx) {
           const std::int64_t j = j0 + idx;

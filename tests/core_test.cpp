@@ -615,6 +615,113 @@ TEST(Determinism, MixedCoroutineAndCallbackWorkloadRepeatsExactly) {
 }  // namespace
 }  // namespace hpccsim::sim
 
+// ------------------------------------------ event-queue differential --
+//
+// BasicEventQueue against a plain std::priority_queue on (when, seq):
+// randomized pushes aimed at every tier boundary — same instant, same
+// bucket, the near ring, just either side of the 1024-bucket window
+// edge, and far beyond it — interleaved with top()/pop(). top() may
+// advance the active bucket past the last popped time; a later push at
+// that time then lands behind the active bucket, which is what
+// Engine::run_until leaves behind. Pop sequences and size() must match
+// exactly, also across clear() and reuse.
+
+#include <queue>
+#include <random>
+
+#include "core/event_queue.hpp"
+
+namespace hpccsim::sim {
+namespace {
+
+template <unsigned Bits>
+void check_queue_against_reference(std::uint64_t seed, int ops) {
+  using Queue = detail::BasicEventQueue<Bits>;
+  using detail::QEvent;
+  Queue q;
+  std::priority_queue<QEvent, std::vector<QEvent>, detail::EventAfter> ref;
+  std::mt19937_64 rng(seed);
+  const std::uint64_t width = Queue::kBucketWidth;
+  const std::uint64_t window = width * Queue::kBuckets;
+  std::uint64_t now = 0;  // time of the last popped event
+  std::uint64_t seq = 0;
+  std::uint64_t pops = 0, behind = 0;
+
+  const auto push = [&](std::uint64_t when) {
+    const QEvent ev{when, seq, static_cast<std::uintptr_t>(seq << 1 | 1)};
+    ++seq;
+    q.push(ev);
+    ref.push(ev);
+  };
+  const auto next_when = [&]() -> std::uint64_t {
+    const std::uint64_t bucket_start = now / width * width;
+    switch (rng() % 6) {
+      case 0:
+        return now;  // same instant
+      case 1:
+        return now + rng() % (bucket_start + width - now);  // same bucket
+      case 2:
+        return now + rng() % window;  // near ring
+      case 3:  // one bucket either side of the window edge
+        return bucket_start + window - width + rng() % (2 * width);
+      case 4:
+        return now + window + rng() % (16 * window);  // far beyond
+      default:
+        return now + rng() % (4 * window);  // straddles the edge widely
+    }
+  };
+
+  for (int i = 0; i < ops; ++i) {
+    if (i == ops / 2) {
+      q.clear();
+      ref = {};
+      ASSERT_TRUE(q.empty());
+    }
+    const std::uint64_t r = rng() % 100;
+    if (ref.empty() || r < 48) {
+      push(next_when());
+    } else if (r < 58) {
+      // Peek, then push at the last popped time: top() may have moved
+      // the active bucket beyond it.
+      ASSERT_EQ(q.top().seq, ref.top().seq);
+      if ((q.top().when >> Queue::kBucketBits) > now >> Queue::kBucketBits)
+        ++behind;
+      push(now);
+    } else {
+      const QEvent got = q.pop();
+      const QEvent want = ref.top();
+      ref.pop();
+      ASSERT_EQ(got.when, want.when) << "pop " << pops << " seed " << seed;
+      ASSERT_EQ(got.seq, want.seq) << "pop " << pops << " seed " << seed;
+      ASSERT_EQ(got.payload, want.payload);
+      now = got.when;
+      ++pops;
+    }
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  while (!ref.empty()) {
+    const QEvent got = q.pop();
+    ASSERT_EQ(got.seq, ref.top().seq);
+    ref.pop();
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(pops, static_cast<std::uint64_t>(ops) / 4);
+  EXPECT_GT(behind, 0u);  // the run_until case was exercised
+}
+
+TEST(EventQueueDifferential, EngineBucketsMatchReferenceHeap) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 42u, 2026u})
+    check_queue_against_reference<16>(seed, 100'000);
+}
+
+TEST(EventQueueDifferential, FlowEngineBucketsMatchReferenceHeap) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 42u, 2026u})
+    check_queue_against_reference<36>(seed, 100'000);
+}
+
+}  // namespace
+}  // namespace hpccsim::sim
+
 // ------------------------------------------------- parallel sweeps --
 
 #include <cstdio>

@@ -451,6 +451,44 @@ TEST(LuSkeleton, ReplayMatchesDerivedExactly) {
             static_cast<std::int64_t>(skel->total_ops()));
 }
 
+TEST(DistLu, RaggedShapeResidual) {
+  // n = 70 is not a multiple of nb = 16 (a short last panel of 6) and
+  // Q = 3 does not divide the 5 column blocks, so process columns own
+  // unequal column counts; the row-swap step's non-panel column count
+  // is checked against the explicit column walk on every panel.
+  LuConfig cfg = skel_lu_config();
+  cfg.n = 70;
+  cfg.mode = ExecMode::Numeric;
+  cfg.seed = 11;
+  nx::NxMachine machine(skel_machine_config());
+  const LuResult r = run_distributed_lu(machine, cfg);
+  ASSERT_TRUE(r.residual.has_value());
+  EXPECT_LT(*r.residual, 50.0);
+  EXPECT_GT(r.messages, 0u);
+}
+
+TEST(LuSkeleton, RaggedShapeReplayMatchesDerived) {
+  LuConfig cfg = skel_lu_config();
+  cfg.n = 70;
+  nx::NxMachine derived_m(skel_machine_config());
+  LuResult derived;
+  auto skel = derive_lu_skeleton(derived_m, cfg, &derived);
+  ASSERT_NE(skel, nullptr);
+  nx::NxMachine replay_m(skel_machine_config());
+  const LuResult replayed = replay_lu_skeleton(replay_m, cfg, *skel);
+
+  EXPECT_EQ(derived.elapsed.picoseconds(), replayed.elapsed.picoseconds());
+  EXPECT_EQ(derived.flops_charged, replayed.flops_charged);
+  derived_m.snapshot_counters();
+  replay_m.snapshot_counters();
+  for (const char* name :
+       {"core.engine.events", "nx.sends", "nx.recvs", "nx.bytes_sent",
+        "nx.flops_charged", "nx.compute.ns", "mesh.messages"}) {
+    EXPECT_EQ(derived_m.counters().value(name), replay_m.counters().value(name))
+        << name;
+  }
+}
+
 TEST(LuSkeleton, AutoModeDerivesOnceThenReplays) {
   clear_lu_skeleton_cache();
   LuConfig cfg = skel_lu_config();
