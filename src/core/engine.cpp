@@ -143,29 +143,4 @@ std::uint64_t Engine::run_until(Time stop) {
   return events_processed_ - start;
 }
 
-std::uint64_t Engine::run_window(Time end) {
-  const std::uint64_t start = events_processed_;
-  while (!queue_.empty() && queue_.top().when < end.picoseconds()) {
-    const detail::QEvent ev = queue_.pop();
-    dispatch(ev);
-    check_errors();
-    if (max_events_ && events_processed_ - start >= max_events_)
-      throw std::runtime_error("engine exceeded max_events limit");
-  }
-  if (events_processed_ != start) last_window_event_ps_ = now_.picoseconds();
-  // Advance to the window edge so cross-band deliveries scheduled by
-  // the coordinator (arrival >= end by the lookahead bound) satisfy the
-  // schedule-time monotonicity contract.
-  now_ = std::max(now_, end);
-  return events_processed_ - start;
-}
-
-void Engine::append_unfinished_names(std::string& out) const {
-  for (const auto& r : roots_)
-    if (!r->finished) {
-      out += ' ';
-      out += r->name;
-    }
-}
-
 }  // namespace hpccsim::sim

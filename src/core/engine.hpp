@@ -22,7 +22,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -145,35 +144,6 @@ class Engine {
   /// are processed). Does not consider blocked processes an error.
   std::uint64_t run_until(Time stop);
 
-  /// Run every event strictly before `end`, then advance the clock to
-  /// `end`. The conservative-lookahead window primitive of the parallel
-  /// engine (src/nx/parallel_engine.*): blocked processes are not an
-  /// error here — they are usually waiting on a cross-band message that
-  /// arrives in a later window.
-  std::uint64_t run_window(Time end);
-
-  /// Sentinel for next_event_time_ps() on an empty queue.
-  static constexpr std::int64_t kNoPendingEvent =
-      std::numeric_limits<std::int64_t>::max();
-
-  /// Picosecond timestamp of the earliest pending event, or
-  /// kNoPendingEvent. Non-const: peeking may reorganize the two-tier
-  /// queue's buckets.
-  std::int64_t next_event_time_ps() {
-    return queue_.empty() ? kNoPendingEvent : queue_.top().when;
-  }
-
-  /// Timestamp of the last event dispatched by run_window (run_window
-  /// overshoots now() to the window edge; the parallel engine needs the
-  /// true final event time to end the run where the sequential engine
-  /// would).
-  std::int64_t last_window_event_ps() const { return last_window_event_ps_; }
-
-  /// Appends " name" for each root that never finished — the parallel
-  /// engine's aggregate deadlock check mirrors run()'s message across
-  /// band engines.
-  void append_unfinished_names(std::string& out) const;
-
   /// Awaitable: suspend the current process for `dt` of simulated time.
   auto delay(Time dt) {
     struct Awaiter {
@@ -260,7 +230,6 @@ class Engine {
   }
 
   Time now_ = Time::zero();
-  std::int64_t last_window_event_ps_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t max_events_ = 0;

@@ -735,9 +735,7 @@ Task<> replay_rank(NxContext& ctx, const std::vector<nx::SkelOp>& ops,
         HPCCSIM_EXPECTS(depth > 0);
         const CollFrame f = coll[--depth];
         const Time end = ctx.now();
-        // Context-routed so parallel replay records into the band's
-        // private registry (see NxContext::collective_histogram).
-        ctx.collective_histogram(f.kind).record(
+        ctx.machine().collective_histogram(f.kind).record(
             static_cast<std::int64_t>((end - f.start).as_ns()));
         if (obs::TraceWriter* tw = ctx.machine().trace_writer())
           tw->complete(ctx.rank(), nx::collective_name(f.kind),

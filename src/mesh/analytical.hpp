@@ -45,25 +45,14 @@ class AnalyticalMeshNet final : public NetworkModel {
   sim::Time transfer(NodeId src, NodeId dst, Bytes bytes,
                      sim::Time depart) override;
 
-  /// Every transfer pays at least one injection-channel latency: a
-  /// self-send arrives at depart + nic_latency + ser, and a routed
-  /// message at start + 2*nic_latency + hops*per_hop + ser with
-  /// start >= depart. This floor is what makes the parallel engine's
-  /// lookahead window sound on mesh machines.
-  sim::Time min_transfer_latency() const override {
-    return params_.nic_latency;
-  }
-
   std::int32_t node_count() const override { return mesh_.node_count(); }
   const Mesh2D& mesh() const { return mesh_; }
   const AnalyticalParams& params() const { return params_; }
 
   /// Total messages routed and cumulative queueing (contention) delay.
-  /// The accumulator is integer picoseconds, so the mean is independent
-  /// of transfer order — same-picosecond transfers replay in a
-  /// different (but equivalent) order under the rank-band parallel
-  /// engine, and a Welford mean would drift in the last ulp
-  /// (docs/MODEL.md §15).
+  /// The accumulator is integer picoseconds, so the mean is exact and
+  /// independent of the order in which same-tick transfers arrive; the
+  /// published contention figures are defined by this sum.
   std::uint64_t messages_routed() const { return messages_; }
   double contention_mean_us() const {
     return contention_count_ ? static_cast<double>(contention_ps_sum_) /

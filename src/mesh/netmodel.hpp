@@ -22,13 +22,6 @@ class NetworkModel {
   virtual sim::Time transfer(NodeId src, NodeId dst, Bytes bytes,
                              sim::Time depart) = 0;
 
-  /// Lower bound on `transfer() - depart` over all (src, dst, bytes),
-  /// including self-sends. The parallel engine's conservative lookahead
-  /// window (src/nx/parallel_engine.*, docs/MODEL.md §15) is built on
-  /// this guarantee; a model that cannot promise a positive floor
-  /// returns zero and the parallel engine falls back to sequential.
-  virtual sim::Time min_transfer_latency() const { return sim::Time::zero(); }
-
   virtual std::int32_t node_count() const = 0;
 };
 
@@ -50,8 +43,6 @@ class CrossbarNet final : public NetworkModel {
         sim::Time::sec(static_cast<double>(bytes) / bw_.bytes_per_sec());
     return depart + latency_ + ser;
   }
-
-  sim::Time min_transfer_latency() const override { return latency_; }
 
   std::int32_t node_count() const override { return nodes_; }
 

@@ -48,10 +48,7 @@ class CollectiveTimer {
   ~CollectiveTimer() {
     NxMachine& m = ctx_->machine();
     const sim::Time end = ctx_->now();
-    // Through the context, not the machine: during a parallel run the
-    // context routes this into a band-private registry (merged after
-    // the run), so bands never write the shared registry concurrently.
-    ctx_->collective_histogram(kind_).record(
+    m.collective_histogram(kind_).record(
         static_cast<std::int64_t>((end - start_).as_ns()));
     if (obs::TraceWriter* tw = m.trace_writer())
       tw->complete(ctx_->rank(), collective_name(kind_), "collective",

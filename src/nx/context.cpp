@@ -20,17 +20,6 @@ const proc::MachineConfig& NxContext::config() const {
   return machine_->config();
 }
 
-obs::Histogram& NxContext::collective_histogram(CollectiveKind k) {
-  obs::Histogram*& slot = coll_hist_[static_cast<std::size_t>(k)];
-  if (!slot) {
-    obs::Registry& reg =
-        coll_registry_ ? *coll_registry_ : machine_->counters();
-    slot = &reg.histogram(std::string("nx.collective.") +
-                          collective_name(k) + ".ns");
-  }
-  return *slot;
-}
-
 void NxContext::record_send(int dst, int tag, Bytes bytes,
                             const Payload& payload) {
   if (dst > 0xffff || tag < 0) {
@@ -72,19 +61,6 @@ void NxContext::record_compute(proc::Kernel k, std::int64_t m, std::int64_t n,
 void NxContext::launch_message(int dst, int tag, Bytes bytes,
                                Payload payload, sim::Time depart) {
   auto& eng = *engine_;
-  // Parallel window: the NetworkModel's link state is shared across
-  // rank bands, so the handoff is deferred — the coordinator replays
-  // captured intents serially between windows in deterministic order
-  // (src/nx/parallel_engine.cpp). Node-local accounting still happens
-  // here, on the band thread that owns this context.
-  if (intent_sink_) {
-    ++stats_.sends;
-    stats_.bytes_sent += bytes;
-    intent_sink_->push_back(LaunchIntent{
-        static_cast<std::int64_t>(eng.now().picoseconds()), 0, rank_, dst,
-        tag, bytes, depart, std::move(payload)});
-    return;
-  }
   // Hand the message to the network; the model returns the arrival time
   // of the last byte at the destination NIC.
   const sim::Time arrival =

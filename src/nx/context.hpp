@@ -11,7 +11,6 @@
 //   }
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -23,27 +22,11 @@
 #include "nx/message.hpp"
 #include "nx/request.hpp"
 #include "nx/skeleton.hpp"
-#include "obs/counters.hpp"
 #include "proc/machine.hpp"
 
 namespace hpccsim::nx {
 
 class NxMachine;
-
-/// One network handoff a rank-band engine defers during a parallel
-/// window: the coordinator replays captured intents against the shared
-/// NetworkModel between windows, in deterministic (call_ps, src,
-/// capture-order) order (src/nx/parallel_engine.cpp, docs/MODEL.md §15).
-struct LaunchIntent {
-  std::int64_t call_ps = 0;  ///< band clock at the launch_message call
-  std::uint32_t seq = 0;     ///< capture index (assigned at merge time)
-  int src = 0;
-  int dst = 0;
-  int tag = 0;
-  Bytes bytes = 0;
-  sim::Time depart;
-  Payload payload;
-};
 
 /// Statistics one node accumulates (aggregated by NxMachine).
 struct NodeStats {
@@ -68,37 +51,6 @@ class NxContext {
   sim::Engine& engine() { return *engine_; }
   /// The owning machine (collectives use it for counters and tracing).
   NxMachine& machine() { return *machine_; }
-
-  // ------------------------------------------------------- parallel --
-  // Hooks the parallel engine (src/nx/parallel_engine.*) flips for the
-  // duration of a sharded run; all default to the sequential bindings.
-
-  /// Point this node at a rank-band engine (and back). Rebinds the
-  /// mailbox too; only valid between runs.
-  void set_engine(sim::Engine& e) {
-    engine_ = &e;
-    mailbox_.set_engine(e);
-  }
-
-  /// While set, launch_message captures a LaunchIntent instead of
-  /// touching the shared NetworkModel (nullptr restores direct launch).
-  void set_intent_sink(std::vector<LaunchIntent>* sink) {
-    intent_sink_ = sink;
-  }
-
-  /// Route collective histograms into a band-private registry (merged
-  /// into the machine registry after the run); nullptr = machine
-  /// registry. Resets the per-kind cache.
-  void set_collective_registry(obs::Registry* reg) {
-    coll_registry_ = reg;
-    coll_hist_.fill(nullptr);
-  }
-
-  /// Per-kind collective latency histogram ("nx.collective.<name>.ns")
-  /// in the currently-bound registry. The cached-per-enum analogue of
-  /// NxMachine::collective_histogram that stays valid (and race-free)
-  /// inside parallel windows.
-  obs::Histogram& collective_histogram(CollectiveKind k);
 
   /// Blocking send (NX csend): returns once the message is handed to the
   /// network; the payload is buffered, so the receiver may consume it
@@ -182,16 +134,12 @@ class NxContext {
 
   NxMachine* machine_;
   int rank_;
-  /// The engine driving this node: the machine's engine, or a rank-band
-  /// engine during a parallel run.
+  /// The machine's engine, cached so now() stays inline.
   sim::Engine* engine_;
   Mailbox mailbox_;
   NodeStats stats_;
   std::map<int, int> collective_seq_;
   SkeletonRecorder* recorder_ = nullptr;
-  std::vector<LaunchIntent>* intent_sink_ = nullptr;
-  obs::Registry* coll_registry_ = nullptr;  ///< nullptr = machine registry
-  std::array<obs::Histogram*, kCollectiveKindCount> coll_hist_{};
   /// Message co-processor horizon: when the next isend can start.
   sim::Time send_coproc_free_;
 };

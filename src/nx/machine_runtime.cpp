@@ -1,9 +1,7 @@
 #include "nx/machine_runtime.hpp"
 
-#include <algorithm>
 #include <sstream>
 
-#include "nx/parallel_engine.hpp"
 #include "util/log.hpp"
 
 namespace hpccsim::nx {
@@ -37,20 +35,7 @@ obs::Histogram& NxMachine::collective_histogram(CollectiveKind k) {
   return *slot;
 }
 
-void NxMachine::set_threads(int n) {
-  HPCCSIM_EXPECTS(n >= 1);
-  threads_ = n;
-}
-
-bool NxMachine::parallel_eligible() {
-  return threads_ > 1 && nodes() >= kParallelMinNodes && !fault_hooks_ &&
-         !trace_writer_ &&
-         net_->min_transfer_latency() > sim::Time::zero() &&
-         engine_.next_event_time_ps() == sim::Engine::kNoPendingEvent;
-}
-
 sim::Time NxMachine::run(const Program& program) {
-  if (parallel_eligible()) return run_parallel(&program, nullptr);
   const sim::Time start = engine_.now();
   for (int r = 0; r < nodes(); ++r)
     engine_.spawn(program(*contexts_[r]), "node" + std::to_string(r));
@@ -64,37 +49,11 @@ sim::Time NxMachine::run(const Program& program) {
 
 sim::Time NxMachine::run_each(const std::vector<Program>& per_node) {
   HPCCSIM_EXPECTS(static_cast<int>(per_node.size()) == nodes());
-  if (parallel_eligible()) return run_parallel(nullptr, &per_node);
   const sim::Time start = engine_.now();
   for (int r = 0; r < nodes(); ++r)
     engine_.spawn(per_node[r](*contexts_[r]), "node" + std::to_string(r));
   engine_.run();
   return engine_.now() - start;
-}
-
-sim::Time NxMachine::run_parallel(const Program* spmd,
-                                  const std::vector<Program>* per_node) {
-  const sim::Time start = engine_.now();
-  const ParRunTotals t = par::run_sharded(*this, threads_, spmd, per_node);
-  par_.events += t.events;
-  par_.calls_scheduled += t.calls_scheduled;
-  par_.peak_queue_depth = std::max(par_.peak_queue_depth, t.peak_queue_depth);
-  par_.call_slot_high_water =
-      std::max(par_.call_slot_high_water, t.call_slot_high_water);
-  par_.windows += t.windows;
-  par_.intents += t.intents;
-  par_.handoffs += t.handoffs;
-  par_.window_skips += t.window_skips;
-  par_.pool_values += t.pool_values;
-  par_.pool_sized += t.pool_sized;
-  par_.runs += t.runs;
-  par_.bands = t.bands;
-  const sim::Time elapsed = engine_.now() - start;
-  HPCCSIM_LOG(Debug) << config_.name << ": " << nodes() << " nodes, "
-                     << t.events << " events across " << t.bands
-                     << " bands (" << t.windows << " windows), t="
-                     << elapsed.str();
-  return elapsed;
 }
 
 std::string NxMachine::message_trace_csv() const {
@@ -120,28 +79,10 @@ obs::Registry& NxMachine::snapshot_counters() {
     registry_.counter(name).set(static_cast<std::int64_t>(v));
   };
 
-  // Parallel runs fold band-engine totals into the machine totals so the
-  // event/call counts match what a sequential run would report (the same
-  // events run, just on different engines). Peak depth and slot high
-  // water are maxima over engines: partition-dependent diagnostics,
-  // normalized away by the AXIS=threads determinism comparison.
-  set("core.engine.events", engine_.events_processed() + par_.events);
-  set("core.engine.calls_scheduled",
-      engine_.calls_scheduled() + par_.calls_scheduled);
-  set("core.engine.peak_queue_depth",
-      std::max(engine_.peak_queue_depth(), par_.peak_queue_depth));
-  set("core.engine.call_slot_high_water",
-      std::max(engine_.call_slot_high_water(), par_.call_slot_high_water));
-  if (par_.runs > 0) {
-    // Shard diagnostics only exist once a parallel run happened, so a
-    // sequential machine's dump is byte-identical to pre-parallel builds.
-    set("engine.shard.bands", static_cast<std::uint64_t>(par_.bands));
-    set("engine.shard.windows", par_.windows);
-    set("engine.shard.intents", par_.intents);
-    set("engine.shard.handoffs", par_.handoffs);
-    set("engine.shard.window_skips", par_.window_skips);
-    set("engine.shard.runs", par_.runs);
-  }
+  set("core.engine.events", engine_.events_processed());
+  set("core.engine.calls_scheduled", engine_.calls_scheduled());
+  set("core.engine.peak_queue_depth", engine_.peak_queue_depth());
+  set("core.engine.call_slot_high_water", engine_.call_slot_high_water());
 
   const NodeStats total = total_stats();
   set("nx.sends", total.sends);
@@ -152,14 +93,9 @@ obs::Registry& NxMachine::snapshot_counters() {
   set("nx.send_wait.ns", static_cast<std::uint64_t>(total.send_wait.as_ns()));
   set("nx.recv_wait.ns", static_cast<std::uint64_t>(total.recv_wait.as_ns()));
   set("nx.messages_dropped", messages_dropped_);
-  // Pool stats are thread-local: the machine-thread delta covers
-  // sequential runs plus band 0 (which runs on this thread); worker-band
-  // acquires are gathered per run by the parallel engine.
   const detail::PayloadPoolStats& ps = detail::payload_pool_stats();
-  set("nx.payload.pool.values",
-      ps.acquires - payload_base_values_ + par_.pool_values);
-  set("nx.payload.pool.sized",
-      ps.sized_acquires - payload_base_sized_ + par_.pool_sized);
+  set("nx.payload.pool.values", ps.acquires - payload_base_values_);
+  set("nx.payload.pool.sized", ps.sized_acquires - payload_base_sized_);
   set("proc.nodes", static_cast<std::uint64_t>(config_.node_count()));
   set("proc.nodes_down",
       static_cast<std::uint64_t>(node_state_.node_count() -

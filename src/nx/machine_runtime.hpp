@@ -27,30 +27,6 @@ enum class NetKind {
   Crossbar,        ///< ideal contention-free network (ablation baseline)
 };
 
-/// Rank counts below this always run sequentially: band scheduling
-/// overhead dwarfs any win, and small machines are where tests exercise
-/// engine-state edge cases the parallel path excludes.
-inline constexpr int kParallelMinNodes = 64;
-
-/// Totals one parallel (rank-band sharded) run folds back into its
-/// machine. Accumulated across runs so snapshot_counters() reports
-/// engine totals equal to what the sequential engine would have
-/// counted, plus the engine.shard.* diagnostics (docs/METRICS.md).
-struct ParRunTotals {
-  std::uint64_t events = 0;           ///< events across all band engines
-  std::uint64_t calls_scheduled = 0;
-  std::uint64_t peak_queue_depth = 0;      ///< max over bands
-  std::uint64_t call_slot_high_water = 0;  ///< max over bands
-  std::uint64_t windows = 0;       ///< conservative-lookahead windows run
-  std::uint64_t intents = 0;       ///< deferred network handoffs replayed
-  std::uint64_t handoffs = 0;      ///< intents that crossed a band boundary
-  std::uint64_t window_skips = 0;  ///< idle gaps the window start jumped
-  std::uint64_t pool_values = 0;   ///< payload acquires on worker threads
-  std::uint64_t pool_sized = 0;
-  std::uint64_t runs = 0;
-  int bands = 0;  ///< band count of the most recent parallel run
-};
-
 /// One message in the machine's communication trace.
 struct MessageTraceRecord {
   sim::Time depart;   ///< last byte leaves the source NIC queue
@@ -75,21 +51,6 @@ class NxMachine {
 
   /// Run distinct programs on a subset of nodes (servers/clients etc.).
   sim::Time run_each(const std::vector<Program>& per_node);
-
-  /// Shard the engine across up to `n` host threads by contiguous rank
-  /// bands (src/nx/parallel_engine.*, docs/MODEL.md §15). 1 (default)
-  /// runs sequentially; higher counts silently fall back to sequential
-  /// whenever a run is not parallel_eligible(). Byte-identical results
-  /// at any thread count is the contract, not a best effort.
-  void set_threads(int n);
-  int threads() const { return threads_; }
-
-  /// Would the next run() take the parallel path? Requires threads > 1,
-  /// at least kParallelMinNodes ranks, no fault hooks (fault injection
-  /// mutates shared state mid-flight), no Chrome-trace writer (emits
-  /// from inside windows), a network model with a positive lookahead
-  /// floor, and an idle machine engine.
-  bool parallel_eligible();
 
   int nodes() const { return config_.node_count(); }
   const proc::MachineConfig& config() const { return config_; }
@@ -152,11 +113,6 @@ class NxMachine {
   void note_dropped_message() { ++messages_dropped_; }  ///< internal
 
  private:
-  /// Shared parallel-path body of run()/run_each(): exactly one of
-  /// `spmd` / `per_node` is non-null.
-  sim::Time run_parallel(const Program* spmd,
-                         const std::vector<Program>* per_node);
-
   proc::MachineConfig config_;
   sim::Engine engine_;
   std::unique_ptr<mesh::NetworkModel> net_;
@@ -171,8 +127,6 @@ class NxMachine {
   std::uint64_t payload_base_sized_ = 0;
   obs::TraceWriter* trace_writer_ = nullptr;
   FaultHooks* fault_hooks_ = nullptr;
-  int threads_ = 1;
-  ParRunTotals par_;  ///< accumulated over every parallel run
   std::uint64_t messages_dropped_ = 0;
   bool trace_enabled_ = false;
   std::vector<MessageTraceRecord> trace_;

@@ -29,11 +29,6 @@ class Mailbox {
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
-  /// Rebind to a different engine (the parallel engine points each
-  /// node's mailbox at its rank-band engine for the duration of a run).
-  /// Only valid while no receive is pending and no wakeup is in flight.
-  void set_engine(sim::Engine& engine) { engine_ = &engine; }
-
   /// Deposit a message (called by the runtime at network-arrival time).
   void deliver(Message m);
 

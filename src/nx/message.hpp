@@ -18,7 +18,6 @@
 // keeps fitting the 48-byte inline buffer (no allocation per message).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -30,24 +29,16 @@ namespace hpccsim::nx {
 
 namespace detail {
 
-/// Pooled backing store of one payload. `refs` is atomic because the
-/// parallel engine (src/nx/parallel_engine.*) hands payloads across
-/// rank-band threads: a broadcast fanned out by one band may drop its
-/// last reference on another. Uncontended increments stay a single
-/// lock-prefixed add — the sequential hot path is unchanged.
+/// Pooled backing store of one payload. `refs` is a plain counter —
+/// payloads never cross engine threads (docs/MODEL.md §8).
 struct PayloadRec {
-  std::atomic<std::uint32_t> refs{0};
+  std::uint32_t refs = 0;
   bool has_values = false;
   std::size_t count = 0;        ///< element count of a size-only payload
   std::vector<double> values;   ///< empty (capacity recycled) when size-only
-  void* owner = nullptr;        ///< pool that allocated this record
-  PayloadRec* next_free = nullptr;  ///< link in the owner-return stack
 };
 
-/// Thread-local free-list acquire/release (src/nx/payload.cpp). A
-/// record released on a foreign thread is pushed onto its owning
-/// pool's lock-free return stack and recycled by the owner, so every
-/// record is only ever *reused* by the thread that allocated it.
+/// Thread-local free-list acquire/release (src/nx/payload.cpp).
 PayloadRec* payload_acquire(bool sized);
 void payload_release(PayloadRec* rec);
 
@@ -83,7 +74,7 @@ class Payload {
   Payload() = default;
   Payload(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
   Payload(const Payload& o) : rec_(o.rec_) {
-    if (rec_) rec_->refs.fetch_add(1, std::memory_order_relaxed);
+    if (rec_) ++rec_->refs;
   }
   Payload(Payload&& o) noexcept : rec_(o.rec_) { o.rec_ = nullptr; }
   Payload& operator=(const Payload& o) {
@@ -98,10 +89,7 @@ class Payload {
   ~Payload() { reset(); }
 
   void reset() {
-    // acq_rel: the last release must observe every write the other
-    // refs made to the record before recycling it.
-    if (rec_ && rec_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      detail::payload_release(rec_);
+    if (rec_ && --rec_->refs == 0) detail::payload_release(rec_);
     rec_ = nullptr;
   }
 

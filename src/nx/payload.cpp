@@ -2,19 +2,11 @@
 //
 // Records are recycled newest-first (cache-warm), and a record freed by
 // one machine is reusable by the next machine on the same thread — the
-// pool outlives any single simulation. The parallel engine hands
-// payloads across rank-band threads, so a release may happen on a
-// thread that does not own the record: those go onto the owning pool's
-// lock-free MPSC return stack and are folded back into its free list
-// the next time the owner allocates (or when the owning thread exits).
-// Records are therefore only ever *reused* by their allocating thread,
-// which keeps the fast path (same-thread acquire/release) free of
-// atomics beyond the refcount itself.
-//
-// Determinism note: the acquire counters depend only on program
-// behaviour and are safe to export per machine
-// (delta-since-construction, NxMachine); the heap_allocs/live split
-// depends on what ran earlier on the thread and stays debug-only.
+// pool outlives any single simulation. Determinism note: the
+// acquire counters depend only on program behaviour and are safe to
+// export per machine (delta-since-construction, NxMachine); the
+// heap_allocs/live split depends on what ran earlier on the thread and
+// stays debug-only.
 #include "nx/message.hpp"
 
 namespace hpccsim::nx::detail {
@@ -23,25 +15,8 @@ namespace {
 
 struct Pool {
   std::vector<PayloadRec*> free;
-  /// Head of the MPSC stack of records released on foreign threads.
-  std::atomic<PayloadRec*> foreign{nullptr};
   PayloadPoolStats stats;
-
-  /// Folds foreign-released records into the local free list
-  /// (owner-thread only).
-  void drain_foreign() {
-    PayloadRec* head = foreign.exchange(nullptr, std::memory_order_acquire);
-    while (head) {
-      PayloadRec* next = head->next_free;
-      head->next_free = nullptr;
-      free.push_back(head);
-      --stats.live;
-      head = next;
-    }
-  }
-
   ~Pool() {
-    drain_foreign();
     for (PayloadRec* r : free) delete r;
   }
 };
@@ -61,40 +36,26 @@ PayloadRec* payload_acquire(bool sized) {
     ++p.stats.acquires;
   ++p.stats.live;
   PayloadRec* rec;
-  if (p.free.empty()) p.drain_foreign();
   if (!p.free.empty()) {
     rec = p.free.back();
     p.free.pop_back();
   } else {
     rec = new PayloadRec;
-    rec->owner = &p;
     ++p.stats.heap_allocs;
   }
-  rec->refs.store(1, std::memory_order_relaxed);
+  rec->refs = 1;
   return rec;
 }
 
 void payload_release(PayloadRec* rec) {
+  Pool& p = pool();
   // Keep the vector's capacity for the next value-carrying payload;
-  // size-only payloads never touch it. Safe on any thread: the last
-  // reference owns the record exclusively here.
+  // size-only payloads never touch it.
   rec->values.clear();
   rec->has_values = false;
   rec->count = 0;
-  Pool* owner = static_cast<Pool*>(rec->owner);
-  Pool& mine = pool();
-  if (owner == &mine) {
-    mine.free.push_back(rec);
-    --mine.stats.live;
-    return;
-  }
-  // Released on a foreign thread: push onto the owner's return stack.
-  // The owner decrements its live count when it drains.
-  PayloadRec* head = owner->foreign.load(std::memory_order_relaxed);
-  do {
-    rec->next_free = head;
-  } while (!owner->foreign.compare_exchange_weak(
-      head, rec, std::memory_order_release, std::memory_order_relaxed));
+  p.free.push_back(rec);
+  --p.stats.live;
 }
 
 const PayloadPoolStats& payload_pool_stats() { return pool().stats; }

@@ -22,7 +22,7 @@
 // Keys inside config/metrics appear in insertion order; sim_time_s is
 // the sum of simulated seconds across the bench's sweep points, the
 // one number every bench must provide. wall_time_s is measured from
-// construction to write.
+// process start (static initialization) to write.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +85,6 @@ class BenchMetrics {
   std::string counters_json_;
   int threads_ = 0;
   double sim_time_s_ = 0.0;
-  std::uint64_t start_ns_;  // host monotonic clock at construction
 };
 
 }  // namespace hpccsim::obs

@@ -103,9 +103,8 @@ MachineConfig columbia() {
   // The HPCC program's mid-decade target class: a 0.8-Teraflops QCD
   // machine ("Columbia" lineage) modeled as a 128 x 128 mesh of
   // Paragon-class nodes — 16,384 ranks, 16,384 x 50 MFLOPS sustained
-  // order of magnitude. Primarily the parallel-engine scale exhibit
-  // (bench/parallel_engine): big enough that rank-band sharding has
-  // real work per band.
+  // order of magnitude. The large-scale preset for modeled runs
+  // (fig1_linpack --machine columbia).
   m.mesh_width = 128;
   m.mesh_height = 128;
   return m;

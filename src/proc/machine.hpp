@@ -71,7 +71,7 @@ MachineConfig paragon();
 
 /// A 0.8-Teraflops-class QCD machine of the program's mid-decade
 /// roadmap ("Columbia" lineage): 128 x 128 mesh of Paragon-class nodes
-/// (16,384 ranks). The scale exhibit for the rank-band parallel engine.
+/// (16,384 ranks). Reachable as fig1_linpack --machine columbia.
 MachineConfig columbia();
 
 /// A single-node i860 workstation (for local-kernel experiments).

@@ -1,7 +1,11 @@
 #include "util/cli.hpp"
 
+#include <charconv>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "util/parallel.hpp"
 
@@ -93,12 +97,31 @@ std::string ArgParser::str(const std::string& name) const {
   return get(name).value;
 }
 
+namespace {
+
+// Parses the whole of `tok` as a T ("12x" fails). On failure prints
+// "<program>: --<name>: expected <what>, got '<tok>'" and exits with 2.
+template <class T>
+T parse_or_exit(const std::string& program, const std::string& name,
+                const std::string& tok, const char* what) {
+  T v{};
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec == std::errc() && ptr == end) return v;
+  std::fprintf(stderr, "%s: --%s: expected %s, got '%s'\n", program.c_str(),
+               name.c_str(), what, tok.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 std::int64_t ArgParser::integer(const std::string& name) const {
-  return std::stoll(get(name).value);
+  return parse_or_exit<std::int64_t>(program_, name, get(name).value,
+                                     "an integer");
 }
 
 double ArgParser::real(const std::string& name) const {
-  return std::stod(get(name).value);
+  return parse_or_exit<double>(program_, name, get(name).value, "a number");
 }
 
 std::vector<std::int64_t> ArgParser::int_list(const std::string& name) const {
@@ -106,7 +129,9 @@ std::vector<std::int64_t> ArgParser::int_list(const std::string& name) const {
   std::stringstream ss(get(name).value);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stoll(tok));
+    if (!tok.empty())
+      out.push_back(
+          parse_or_exit<std::int64_t>(program_, name, tok, "an integer"));
   }
   return out;
 }

@@ -46,6 +46,10 @@ class ArgParser {
 
   bool flag(const std::string& name) const;
   std::string str(const std::string& name) const;
+
+  /// Typed accessors. The whole value must parse ("12x" does not); on
+  /// failure they print "<program>: --<name>: expected ..., got '<v>'"
+  /// to stderr and exit the process with status 2.
   std::int64_t integer(const std::string& name) const;
   double real(const std::string& name) const;
 

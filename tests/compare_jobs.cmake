@@ -86,15 +86,6 @@ if(CHECK_JSON)
       endforeach()
       string(REGEX REPLACE "\"mesh.flit.shard.[a-z_]+\":[0-9]+"
              "\"mesh.flit.shard\":0" content "${content}")
-      # Rank-band nx engine (docs/MODEL.md §15): shard diagnostics exist
-      # only at --threads > 1, and the engine's queue-depth high-water
-      # marks depend on how events split across band-private queues.
-      string(REGEX REPLACE "\"engine.shard.[a-z_]+\":[0-9]+,?"
-             "" content "${content}")
-      foreach(diag peak_queue_depth call_slot_high_water)
-        string(REGEX REPLACE "\"core.engine.${diag}\":[0-9]+"
-               "\"core.engine.${diag}\":0" content "${content}")
-      endforeach()
     endif()
     set(json_v${v} "${content}")
   endforeach()

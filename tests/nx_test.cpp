@@ -856,284 +856,3 @@ TEST(NxAllocation, ModeledLuIterationCommIsAllocationFree) {
 
 }  // namespace
 }  // namespace hpccsim::nx
-
-// ------------------------------------------------------ parallel engine --
-//
-// The rank-band sharded engine's contract (docs/MODEL.md §15) is byte
-// identity with the sequential engine at any --threads count: same
-// elapsed clock, same per-rank numeric results, same counter totals,
-// same message trace, same collective histograms. These tests run the
-// same scenarios at several thread counts and demand exact equality —
-// not tolerance-based agreement.
-
-#include <sstream>
-
-namespace hpccsim::nx {
-namespace {
-
-using sim::Task;
-using sim::Time;
-
-/// Mixed point-to-point / non-blocking / collective traffic with
-/// deterministically-seeded pseudo-random sizes and compute grains.
-/// Heavy cross-rank structure at several strides, so a lookahead or
-/// replay-ordering bug diverges the clock or the counters.
-Task<> traffic_program(NxContext& ctx, std::vector<double>& out) {
-  const int n = ctx.nodes();
-  const int r = ctx.rank();
-  std::uint64_t lcg = 0x9e3779b97f4a7c15ull ^ static_cast<std::uint64_t>(r);
-  auto next = [&lcg] {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<std::uint32_t>(lcg >> 33);
-  };
-  double acc = 0;
-  for (int k = 0; k < 6; ++k) {
-    const int stride = 1 + (k * 7) % (n - 1);
-    const int to = (r + stride) % n;
-    const int from = (r + n - stride) % n;
-    Request rx = ctx.irecv(from, 100 + k);
-    co_await ctx.busy(Time::ns(1 + next() % 50000));
-    co_await ctx.send(to, 100 + k, 64 + next() % 8192,
-                      Payload::sized(next() % 32));
-    Message got = co_await rx.wait();
-    acc += static_cast<double>(got.bytes) + static_cast<double>(got.payload.elements());
-    if (k % 3 == 0) {
-      Message s = co_await allreduce(ctx, Group::world(ctx), ReduceOp::Sum,
-                                     8, payload_of(acc));
-      acc += s.values().at(0) / n;
-    }
-  }
-  co_await barrier(ctx, Group::world(ctx));
-  out[static_cast<std::size_t>(r)] = acc;
-}
-
-/// Thread-count-invariant counter totals: everything snapshot_counters
-/// exports except the partition-dependent diagnostics (peak queue
-/// depth, call-slot high water, engine.shard.*).
-std::vector<std::int64_t> invariant_counters(NxMachine& m) {
-  static const char* kNames[] = {
-      "core.engine.events",     "core.engine.calls_scheduled",
-      "nx.sends",               "nx.recvs",
-      "nx.bytes_sent",          "nx.flops_charged",
-      "nx.compute.ns",          "nx.send_wait.ns",
-      "nx.recv_wait.ns",        "nx.messages_dropped",
-      "nx.payload.pool.values", "nx.payload.pool.sized",
-      "mesh.messages",          "mesh.reroutes",
-      "mesh.stalls",            "proc.nodes",
-  };
-  obs::Registry& reg = m.snapshot_counters();
-  std::vector<std::int64_t> out;
-  for (const char* name : kNames) out.push_back(reg.value(name));
-  return out;
-}
-
-struct TrafficResult {
-  std::uint64_t first_run_ps = 0;
-  std::uint64_t final_ps = 0;
-  std::vector<double> values;
-  std::vector<std::int64_t> counters;
-};
-
-TrafficResult run_traffic(int threads, int nodes = 64) {
-  NxMachine m(proc::touchstone_delta().with_nodes(nodes));
-  m.set_threads(threads);
-  TrafficResult res;
-  res.values.assign(static_cast<std::size_t>(nodes), 0.0);
-  auto prog = [&res](NxContext& ctx) -> Task<> {
-    return traffic_program(ctx, res.values);
-  };
-  res.first_run_ps = m.run(prog).picoseconds();
-  // Second run on the same machine: covers the accumulated-clock path
-  // (band engines must start at the machine's current time, not zero).
-  m.run(prog);
-  res.final_ps = m.engine().now().picoseconds();
-  res.counters = invariant_counters(m);
-  return res;
-}
-
-TEST(ParallelEngine, TrafficByteIdenticalAcrossThreadCounts) {
-  const TrafficResult seq = run_traffic(1);
-  for (const int threads : {2, 4, 8}) {
-    const TrafficResult par = run_traffic(threads);
-    EXPECT_EQ(par.first_run_ps, seq.first_run_ps) << "threads=" << threads;
-    EXPECT_EQ(par.final_ps, seq.final_ps) << "threads=" << threads;
-    EXPECT_EQ(par.values, seq.values) << "threads=" << threads;
-    EXPECT_EQ(par.counters, seq.counters) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelEngine, CollectiveHistogramsMatchSequential) {
-  auto run = [](int threads) {
-    NxMachine m(proc::touchstone_delta().with_nodes(64));
-    m.set_threads(threads);
-    m.run([](NxContext& ctx) -> Task<> {
-      for (int it = 0; it < 3; ++it) {
-        co_await barrier(ctx, Group::world(ctx));
-        Message s = co_await allreduce(ctx, Group::world(ctx),
-                                       ReduceOp::Sum, 8,
-                                       payload_of(double(ctx.rank())));
-        (void)s;
-        Message b = co_await bcast(ctx, Group::world(ctx), it, 1024,
-                                   Payload::sized(128));
-        (void)b;
-      }
-    });
-    struct H {
-      std::uint64_t count;
-      std::int64_t sum, min, max;
-    };
-    std::vector<H> out;
-    for (const char* name : {"nx.collective.barrier.ns",
-                             "nx.collective.allreduce.ns",
-                             "nx.collective.bcast.ns"}) {
-      const obs::Histogram& h = m.counters().histogram(name);
-      out.push_back(H{h.count(), h.sum(), h.min(), h.max()});
-    }
-    return out;
-  };
-  const auto seq = run(1);
-  const auto par = run(4);
-  ASSERT_EQ(seq.size(), par.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(par[i].count, seq[i].count) << i;
-    EXPECT_EQ(par[i].sum, seq[i].sum) << i;
-    EXPECT_EQ(par[i].min, seq[i].min) << i;
-    EXPECT_EQ(par[i].max, seq[i].max) << i;
-  }
-}
-
-TEST(ParallelEngine, MessageTraceMatchesSequential) {
-  auto run = [](int threads) {
-    NxMachine m(proc::touchstone_delta().with_nodes(64));
-    m.set_threads(threads);
-    m.enable_message_trace();
-    m.run([](NxContext& ctx) -> Task<> {
-      const int to = (ctx.rank() + 9) % ctx.nodes();
-      const int from = (ctx.rank() + ctx.nodes() - 9) % ctx.nodes();
-      Request rx = ctx.irecv(from, 5);
-      co_await ctx.send(to, 5, 2048 + 16 * static_cast<Bytes>(ctx.rank()));
-      (void)co_await rx.wait();
-    });
-    return m.message_trace();
-  };
-  const auto seq = run(1);
-  const auto par = run(4);
-  ASSERT_EQ(par.size(), seq.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(par[i].depart, seq[i].depart) << i;
-    EXPECT_EQ(par[i].arrive, seq[i].arrive) << i;
-    EXPECT_EQ(par[i].src, seq[i].src) << i;
-    EXPECT_EQ(par[i].dst, seq[i].dst) << i;
-    EXPECT_EQ(par[i].tag, seq[i].tag) << i;
-    EXPECT_EQ(par[i].bytes, seq[i].bytes) << i;
-  }
-}
-
-TEST(ParallelEngine, ShardCountersReportedOnlyAfterParallelRun) {
-  NxMachine par_m(proc::touchstone_delta().with_nodes(64));
-  par_m.set_threads(4);
-  EXPECT_TRUE(par_m.parallel_eligible());
-  std::vector<double> sink(64);
-  par_m.run([&sink](NxContext& ctx) -> Task<> {
-    return traffic_program(ctx, sink);
-  });
-  obs::Registry& reg = par_m.snapshot_counters();
-  EXPECT_EQ(reg.value("engine.shard.runs"), 1);
-  EXPECT_EQ(reg.value("engine.shard.bands"), 4);
-  EXPECT_GT(reg.value("engine.shard.windows"), 0);
-  EXPECT_GT(reg.value("engine.shard.intents"), 0);
-  EXPECT_GT(reg.value("engine.shard.handoffs"), 0);
-
-  // A sequential machine's dump must not grow shard rows.
-  NxMachine seq_m(proc::touchstone_delta().with_nodes(64));
-  seq_m.run([&sink](NxContext& ctx) -> Task<> {
-    return traffic_program(ctx, sink);
-  });
-  const std::string dump = seq_m.snapshot_counters().ascii();
-  EXPECT_EQ(dump.find("engine.shard."), std::string::npos);
-}
-
-TEST(ParallelEngine, SmallMachinesFallBackToSequential) {
-  NxMachine m(proc::touchstone_delta().with_nodes(8));
-  m.set_threads(4);
-  EXPECT_FALSE(m.parallel_eligible());  // below kParallelMinNodes
-  double got = 0;
-  m.run([&got](NxContext& ctx) -> Task<> {
-    if (ctx.rank() == 0) co_await ctx.send(1, 1, 8, payload_of(4.5));
-    if (ctx.rank() == 1) got = (co_await ctx.recv(0, 1)).values().at(0);
-  });
-  EXPECT_EQ(got, 4.5);
-  EXPECT_EQ(m.snapshot_counters().value("engine.shard.runs"), 0);
-}
-
-TEST(ParallelEngine, DeadlockMessageMatchesSequential) {
-  auto deadlock_message = [](int threads) -> std::string {
-    NxMachine m(proc::touchstone_delta().with_nodes(64));
-    m.set_threads(threads);
-    try {
-      m.run([](NxContext& ctx) -> Task<> {
-        // Ranks 7 and 40 (different bands at any count) block forever.
-        if (ctx.rank() == 7 || ctx.rank() == 40)
-          (void)co_await ctx.recv(0, 99);  // never sent
-      });
-    } catch (const sim::DeadlockError& e) {
-      return e.what();
-    }
-    return "";
-  };
-  const std::string seq = deadlock_message(1);
-  EXPECT_NE(seq, "");
-  EXPECT_EQ(deadlock_message(4), seq);
-}
-
-TEST(ParallelEngine, ProcessErrorsPropagateFromBands) {
-  NxMachine m(proc::touchstone_delta().with_nodes(64));
-  m.set_threads(4);
-  EXPECT_THROW(m.run([](NxContext& ctx) -> Task<> {
-    co_await ctx.busy(Time::us(5));
-    if (ctx.rank() == 63) throw std::runtime_error("boom");
-  }),
-               std::runtime_error);
-}
-
-TEST(NxAllocation, ParallelSteadyStateIsAllocationFreeAcrossBands) {
-  // The sharded engine must preserve the zero-allocation steady state:
-  // band event loops, cross-band payload handoffs (owner-return pool),
-  // intent capture/replay buffers and band registries all reach fixed
-  // capacity after warmup. Samples are global (all threads), taken at
-  // iteration barriers; the tail must be exactly flat.
-  NxMachine m(proc::touchstone_delta().with_nodes(64));
-  m.set_threads(4);
-  ASSERT_TRUE(m.parallel_eligible());
-  constexpr int kIters = 8;
-  std::array<std::uint64_t, kIters> samples{};
-  m.run([&samples](NxContext& ctx) -> Task<> {
-    const int n = ctx.nodes();
-    Group world = Group::world(ctx);  // hoisted: Group owns a rank vector
-    for (int it = 0; it < kIters; ++it) {
-      co_await barrier(ctx, world);
-      if (ctx.rank() == 0)
-        samples[static_cast<std::size_t>(it)] =
-            g_heap_allocs.load(std::memory_order_relaxed);
-      // Cross-band ring exchange with pooled sized payloads, plus one
-      // modeled collective — the parallel hot path. Blocking send/recv
-      // (not irecv: request state and its helper process heap-allocate
-      // by design, in sequential mode too).
-      const int to = (ctx.rank() + 17) % n;
-      const int from = (ctx.rank() + n - 17) % n;
-      co_await ctx.send(to, 60, 1024, Payload::sized(64));
-      (void)co_await ctx.recv(from, 60);
-      Message red = co_await allreduce(ctx, world, ReduceOp::MaxAbsLoc,
-                                       doubles_bytes(2), {});
-      (void)red;
-      co_await ctx.compute(proc::Kernel::Gemm, 32, 32, 8);
-    }
-  });
-  EXPECT_EQ(samples[kIters - 2] - samples[kIters - 3], 0u)
-      << "allocations in iteration " << kIters - 3;
-  EXPECT_EQ(samples[kIters - 1] - samples[kIters - 2], 0u)
-      << "allocations in iteration " << kIters - 2;
-}
-
-}  // namespace
-}  // namespace hpccsim::nx

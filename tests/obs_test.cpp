@@ -4,8 +4,10 @@
 // and golden totals for pinned scenarios must never drift.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/checkpoint.hpp"
@@ -148,6 +150,18 @@ TEST(BenchMetrics, SchemaFieldsAndOrdering) {
   // Placement: after metrics, before sim_time_s.
   EXPECT_LT(threaded.find("\"gflops\""), threaded.find("\"threads\""));
   EXPECT_LT(threaded.find("\"threads\""), threaded.find("\"sim_time_s\""));
+}
+
+TEST(BenchMetrics, WallTimeCoversWorkBeforeConstruction) {
+  // Benches build their BenchMetrics after the sweep, so the clock must
+  // start at process start, not at construction.
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  obs::BenchMetrics bm("unit_test");
+  const std::string json = bm.json();
+  const std::string key = "\"wall_time_s\":";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_GE(std::stod(json.substr(at + key.size())), 0.05) << json;
 }
 
 TEST(BenchMetrics, WriteFileEmptyPathIsNoop) {

@@ -211,6 +211,22 @@ TEST(Cli, RejectsMissingValue) {
   EXPECT_THROW(p.parse(2, argv), std::invalid_argument);
 }
 
+TEST(Cli, MalformedNumbersExitWithStatus2) {
+  ArgParser p("prog", "test");
+  p.add_option("n", "size", "1");
+  p.add_option("rate", "x", "1.5");
+  p.add_option("sizes", "sweep", "1000");
+  const char* argv[] = {"prog", "--n", "abc", "--rate", "2.5x",
+                        "--sizes", "1000,12x"};
+  p.parse(7, argv);
+  EXPECT_EXIT(p.integer("n"), ::testing::ExitedWithCode(2),
+              "^prog: --n: expected an integer, got 'abc'\n$");
+  EXPECT_EXIT(p.real("rate"), ::testing::ExitedWithCode(2),
+              "^prog: --rate: expected a number, got '2.5x'\n$");
+  EXPECT_EXIT(p.int_list("sizes"), ::testing::ExitedWithCode(2),
+              "^prog: --sizes: expected an integer, got '12x'\n$");
+}
+
 // --------------------------------------------------------------- Stats --
 
 TEST(RunningStat, BasicMoments) {

@@ -5,9 +5,11 @@ Reads every ``*.json`` bench-metrics file (the shared --json schema, see
 docs/METRICS.md) from a directory and compares it with
 ``bench/baselines.json``:
 
-* ``sim_time_s`` is simulation-deterministic, so drift beyond the
-  tolerance (default 10%) in either direction FAILS the gate — the model
-  changed and the change must be owned (re-baseline with ``--update``).
+* ``sim_time_s`` and the ``GATED_METRICS`` headline numbers are
+  simulation-deterministic, so they are gated exactly: any relative
+  drift above 1e-9 (floating-point print noise, nothing more) in either
+  direction FAILS the gate — the model changed and the change must be
+  owned (re-baseline with ``--update``).
 * ``wall_time_s`` is host-dependent: drift only prints a warning.
 * Benches present in the metrics directory but missing from the
   baselines (or vice versa) fail, so the baseline file cannot silently
@@ -15,7 +17,7 @@ docs/METRICS.md) from a directory and compares it with
 
 Usage:
     check_metrics.py <metrics-dir> [--baselines bench/baselines.json]
-                     [--sim-tolerance 0.10] [--wall-warn 0.50] [--update]
+                     [--wall-warn 0.50] [--update]
 """
 
 import argparse
@@ -24,7 +26,7 @@ import pathlib
 import sys
 
 
-# Simulation-deterministic headline metrics gated at the sim tolerance:
+# Simulation-deterministic headline metrics, gated exactly like sim_time_s:
 # the fig1 n=25,000 operating point ("13 GFLOPS ... OF ORDER 25,000"),
 # and the shared-platform month's waste per checkpoint-ordering strategy
 # (the cooperative-vs-Young/Daly comparison must not drift silently).
@@ -35,6 +37,10 @@ GATED_METRICS = (
     "waste_pct_fifo_coop",
     "waste_pct_ordered_coop",
 )
+
+# Relative drift allowed on deterministic values: exact up to the last
+# digits of a printed double.
+EXACT_TOLERANCE = 1e-9
 
 
 def load_metrics(metrics_dir: pathlib.Path, failures: list) -> dict:
@@ -87,8 +93,6 @@ def main() -> int:
     ap.add_argument("metrics_dir", type=pathlib.Path)
     ap.add_argument("--baselines", type=pathlib.Path,
                     default=pathlib.Path("bench/baselines.json"))
-    ap.add_argument("--sim-tolerance", type=float, default=0.10,
-                    help="max relative sim_time_s drift (hard failure)")
     ap.add_argument("--wall-warn", type=float, default=0.50,
                     help="relative wall_time_s drift that prints a warning")
     ap.add_argument("--update", action="store_true",
@@ -125,15 +129,13 @@ def main() -> int:
         new, old = current[bench], baselines[bench]
 
         sim_drift = rel_drift(new["sim_time_s"], old["sim_time_s"])
-        if sim_drift > args.sim_tolerance:
+        if sim_drift > EXACT_TOLERANCE:
             failures.append(
-                f"{bench}: sim_time_s {old['sim_time_s']:.6g} -> "
-                f"{new['sim_time_s']:.6g} ({sim_drift:+.1%} drift, "
-                f"tolerance {args.sim_tolerance:.0%})")
+                f"{bench}: sim_time_s {old['sim_time_s']!r} -> "
+                f"{new['sim_time_s']!r} ({sim_drift:.3g} relative drift; "
+                f"deterministic, gated exactly)")
         else:
-            status = "ok" if sim_drift == 0.0 else f"drift {sim_drift:.2%}"
-            print(f"ok   {bench}: sim_time_s {new['sim_time_s']:.6g} "
-                  f"({status})")
+            print(f"ok   {bench}: sim_time_s {new['sim_time_s']:.6g}")
 
         for key in GATED_METRICS:
             if key not in old and key not in new:
@@ -144,11 +146,11 @@ def main() -> int:
                                 f" this run (re-baseline with --update)")
                 continue
             drift = rel_drift(new[key], old[key])
-            if drift > args.sim_tolerance:
+            if drift > EXACT_TOLERANCE:
                 failures.append(
-                    f"{bench}: {key} {old[key]:.6g} -> {new[key]:.6g} "
-                    f"({drift:+.1%} drift, tolerance "
-                    f"{args.sim_tolerance:.0%})")
+                    f"{bench}: {key} {old[key]!r} -> {new[key]!r} "
+                    f"({drift:.3g} relative drift; deterministic, gated "
+                    f"exactly)")
             else:
                 print(f"ok   {bench}: {key} {new[key]:.6g}")
 
@@ -168,7 +170,7 @@ def main() -> int:
               f"  tools/check_metrics.py <out-dir> --baselines "
               f"{args.baselines} --update")
         return 1
-    print(f"\nall {len(current)} benches within tolerance")
+    print(f"\nall {len(current)} benches match their baselines")
     return 0
 
 

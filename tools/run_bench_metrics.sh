@@ -35,12 +35,6 @@ run table1_funding
 run ablate_contention --messages 30
 run flit_throughput --messages 8 --threads 2
 run parallel_core --messages 6 --threads 1,2,4
-# Rank-band sharded nx engine at CI scale: a 64-node modeled LU + CG
-# sweep that exits non-zero if any thread count diverges from
-# --threads 1 (the full 16,384-rank Columbia exhibit runs the same
-# binary with --machine columbia; see docs/PERF.md).
-run parallel_engine --machine delta --nodes 64 --n 512 --nb 32 \
-  --cg-grid-n 64 --cg-iters 4 --threads 1,2,4
 run ablate_collectives --nodes 64
 run ablate_network --n 2000
 run ablate_routing --width 6 --height 6
