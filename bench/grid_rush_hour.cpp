@@ -13,6 +13,7 @@
 // static partition; registries merge in policy order, so stdout and
 // --json are byte-identical at any --jobs value.
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "grid/grid_sim.hpp"
@@ -61,17 +62,22 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Range checks mirror the Federation/WorkloadGenerator contracts, so a
+  // bad value exits with status 2 and a message instead of aborting.
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
   FederationConfig fc;
-  fc.regions = static_cast<std::int32_t>(args.integer("regions"));
-  fc.leaves_per_region = static_cast<std::int32_t>(args.integer("leaves"));
+  fc.regions = static_cast<std::int32_t>(args.integer("regions", 1, kInt32Max));
+  fc.leaves_per_region =
+      static_cast<std::int32_t>(args.integer("leaves", 1, kInt32Max));
 
   WorkloadConfig wc;
   wc.seed = static_cast<std::uint64_t>(args.integer("seed"));
-  wc.days = args.real("days");
-  wc.requests_per_day = args.real("requests-per-day");
-  wc.dataset_count = static_cast<std::int32_t>(args.integer("datasets"));
-  wc.median_bytes = args.real("median-mb") * 1e6;
-  wc.rush_amplitude = args.real("amplitude");
+  wc.days = args.real_above("days", 0.0);
+  wc.requests_per_day = args.real_above("requests-per-day", 0.0);
+  wc.dataset_count =
+      static_cast<std::int32_t>(args.integer("datasets", 1, kInt32Max));
+  wc.median_bytes = args.real_at_least("median-mb", 1e-6) * 1e6;  // >= 1 B
+  wc.rush_amplitude = args.real_at_least("amplitude", 0.0);
 
   // Constructed before the sweep: wall_time_s runs construction->write.
   obs::BenchMetrics bm("grid_rush_hour");

@@ -1,5 +1,6 @@
 #include "grid/grid_sim.hpp"
 
+#include <numeric>
 #include <string>
 
 #include "obs/counters.hpp"
@@ -92,6 +93,15 @@ void GridSimulator::run(WorkloadGenerator& workload) {
   }
   engine_.run_to_completion(cb);
   HPCCSIM_ENSURES(inflight_.empty());
+  // Conservation, once per run: every request was served exactly one
+  // way, and every moved byte left one site and entered another.
+  HPCCSIM_ENSURES(stats_.requests == stats_.cache_hits + stats_.coalesced +
+                                         stats_.unroutable +
+                                         stats_.flows_completed);
+  HPCCSIM_ENSURES(std::accumulate(ingress_.begin(), ingress_.end(),
+                                  Bytes{0}) == stats_.bytes_moved);
+  HPCCSIM_ENSURES(std::accumulate(egress_.begin(), egress_.end(),
+                                  Bytes{0}) == stats_.bytes_moved);
 }
 
 void GridSimulator::export_counters(obs::Registry& reg) const {

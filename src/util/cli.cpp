@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <system_error>
 
 #include "util/parallel.hpp"
@@ -99,8 +100,16 @@ std::string ArgParser::str(const std::string& name) const {
 
 namespace {
 
-// Parses the whole of `tok` as a T ("12x" fails). On failure prints
-// "<program>: --<name>: expected <what>, got '<tok>'" and exits with 2.
+// Prints "<program>: --<name>: expected <what>, got '<tok>'" and exits
+// with status 2.
+[[noreturn]] void reject(const std::string& program, const std::string& name,
+                         const std::string& tok, const char* what) {
+  std::fprintf(stderr, "%s: --%s: expected %s, got '%s'\n", program.c_str(),
+               name.c_str(), what, tok.c_str());
+  std::exit(2);
+}
+
+// Parses the whole of `tok` as a T ("12x" fails); rejects on failure.
 template <class T>
 T parse_or_exit(const std::string& program, const std::string& name,
                 const std::string& tok, const char* what) {
@@ -108,9 +117,7 @@ T parse_or_exit(const std::string& program, const std::string& name,
   const char* end = tok.data() + tok.size();
   const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
   if (ec == std::errc() && ptr == end) return v;
-  std::fprintf(stderr, "%s: --%s: expected %s, got '%s'\n", program.c_str(),
-               name.c_str(), what, tok.c_str());
-  std::exit(2);
+  reject(program, name, tok, what);
 }
 
 }  // namespace
@@ -122,6 +129,38 @@ std::int64_t ArgParser::integer(const std::string& name) const {
 
 double ArgParser::real(const std::string& name) const {
   return parse_or_exit<double>(program_, name, get(name).value, "a number");
+}
+
+std::int64_t ArgParser::integer(const std::string& name, std::int64_t lo,
+                               std::int64_t hi) const {
+  const std::int64_t v = integer(name);
+  if (v < lo || v > hi) {
+    const std::string what = "an integer in [" + std::to_string(lo) + ", " +
+                             std::to_string(hi) + "]";
+    reject(program_, name, get(name).value, what.c_str());
+  }
+  return v;
+}
+
+// The negated comparisons also reject NaN.
+double ArgParser::real_at_least(const std::string& name, double lo) const {
+  const double v = real(name);
+  if (!(v >= lo)) {
+    char what[64];
+    std::snprintf(what, sizeof what, "a number >= %g", lo);
+    reject(program_, name, get(name).value, what);
+  }
+  return v;
+}
+
+double ArgParser::real_above(const std::string& name, double lo) const {
+  const double v = real(name);
+  if (!(v > lo)) {
+    char what[64];
+    std::snprintf(what, sizeof what, "a number > %g", lo);
+    reject(program_, name, get(name).value, what);
+  }
+  return v;
 }
 
 std::vector<std::int64_t> ArgParser::int_list(const std::string& name) const {

@@ -53,6 +53,14 @@ class ArgParser {
   std::int64_t integer(const std::string& name) const;
   double real(const std::string& name) const;
 
+  /// Range-checked variants: a value outside the range prints
+  /// "<program>: --<name>: expected an integer in [lo, hi] | a number
+  /// >= lo | a number > lo, got '<v>'" and exits with status 2.
+  std::int64_t integer(const std::string& name, std::int64_t lo,
+                       std::int64_t hi) const;
+  double real_at_least(const std::string& name, double lo) const;
+  double real_above(const std::string& name, double lo) const;
+
   /// Comma-separated list of integers ("1000,2000,4000").
   std::vector<std::int64_t> int_list(const std::string& name) const;
 

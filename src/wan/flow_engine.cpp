@@ -28,6 +28,7 @@ FlowEngine::FlowEngine(RouteTable& routes) : routes_(&routes) {
   cap_.resize(links.size());
   rate_sum_.assign(links.size(), 0.0);
   link_mark_.assign(links.size(), 0);
+  link_done_.assign(links.size(), 0);
   residual_.assign(links.size(), 0.0);
   users_.assign(links.size(), 0);
   for (std::size_t l = 0; l < links.size(); ++l)
@@ -38,7 +39,7 @@ FlowEngine::FlowId FlowEngine::alloc_slot() {
   if (!free_.empty()) {
     const FlowId f = free_.back();
     free_.pop_back();
-    has_event_[f] = 0;
+    HPCCSIM_ASSERT(heap_pos_[f] < 0);
     return f;
   }
   const FlowId f = static_cast<FlowId>(src_.size());
@@ -49,14 +50,13 @@ FlowEngine::FlowId FlowEngine::alloc_slot() {
   rate_.push_back(0.0);
   start_ps_.push_back(0);
   synced_ps_.push_back(0);
-  gen_.push_back(0);
   tag_.push_back(0);
   route_.push_back(nullptr);
   link_pos_.emplace_back();
   flow_mark_.push_back(0);
   new_rate_.push_back(0.0);
   frozen_.push_back(0);
-  has_event_.push_back(0);
+  heap_pos_.push_back(-1);
   return f;
 }
 
@@ -101,6 +101,7 @@ void FlowEngine::bump_epoch() {
     // Epoch counter wrapped: stale marks could alias, so reset them.
     std::fill(flow_mark_.begin(), flow_mark_.end(), 0u);
     std::fill(link_mark_.begin(), link_mark_.end(), 0u);
+    std::fill(link_done_.begin(), link_done_.end(), 0u);
     epoch_ = 1;
   }
 }
@@ -118,7 +119,12 @@ bool FlowEngine::add_to_set(FlowId f) {
   return true;
 }
 
+// Each link is expanded at most once per epoch: flow lists do not change
+// inside one recompute (and the departing flow that process() passes as
+// `except` is unlinked right after), so a second pass would add nothing.
 bool FlowEngine::add_link_flows(std::int32_t l, FlowId except) {
+  if (link_done_[l] == epoch_) return false;
+  link_done_[l] = epoch_;
   bool grew = false;
   for (const LinkEntry& e : link_flows_[l])
     if (e.flow != except) grew |= add_to_set(e.flow);
@@ -145,9 +151,52 @@ void FlowEngine::schedule(FlowId f) {
   }
   const std::uint64_t when = now_ps_ + dt_ps;
   HPCCSIM_ASSERT(when >= now_ps_);  // overflow = simulated centuries
-  ++gen_[f];
-  has_event_[f] = 1;
-  heap_.push(sim::detail::QEvent{when, seq_++, payload(f, gen_[f])});
+  // Move the flow's one entry; a fresh sequence number keeps equal
+  // finish times in schedule order.
+  const HeapEntry e{when, seq_++, f};
+  const std::int32_t at = heap_pos_[f];
+  if (at < 0) {
+    heap_.push_back(e);
+    heap_sift_up(heap_.size() - 1, e);
+  } else if (before(e, heap_[static_cast<std::size_t>(at)])) {
+    heap_sift_up(static_cast<std::size_t>(at), e);
+  } else {
+    heap_sift_down(static_cast<std::size_t>(at), e);
+  }
+}
+
+void FlowEngine::heap_place(std::size_t i, const HeapEntry& e) {
+  heap_[i] = e;
+  heap_pos_[e.flow] = static_cast<std::int32_t>(i);
+}
+
+// Hole-based sifts: `e` is written once, at its final index.
+void FlowEngine::heap_sift_up(std::size_t i, HeapEntry e) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(e, heap_[parent])) break;
+    heap_place(i, heap_[parent]);
+    i = parent;
+  }
+  heap_place(i, e);
+}
+
+void FlowEngine::heap_sift_down(std::size_t i, HeapEntry e) {
+  const std::size_t n = heap_.size();
+  for (std::size_t c = 2 * i + 1; c < n; c = 2 * i + 1) {
+    if (c + 1 < n && before(heap_[c + 1], heap_[c])) ++c;
+    if (!before(heap_[c], e)) break;
+    heap_place(i, heap_[c]);
+    i = c;
+  }
+  heap_place(i, e);
+}
+
+void FlowEngine::heap_pop() {
+  heap_pos_[heap_.front().flow] = -1;
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) heap_sift_down(0, last);
 }
 
 // The saturation-gated ripple (see the header comment). `set_` arrives
@@ -197,14 +246,16 @@ void FlowEngine::recompute() {
         }
       }
       HPCCSIM_ASSERT(best >= 0);
-      for (const FlowId f : set_) {
-        if (frozen_[f]) continue;
-        const auto& ls = route_[f]->links;
-        if (std::find(ls.begin(), ls.end(), best) == ls.end()) continue;
+      // Freeze the unfrozen members crossing `best`. Every one of them
+      // subtracts the same best_share (clamped at 0) from its links, so
+      // the order they are visited in cannot change residual_.
+      for (const LinkEntry& e : link_flows_[best]) {
+        const FlowId f = e.flow;
+        if (flow_mark_[f] != epoch_ || frozen_[f]) continue;
         new_rate_[f] = best_share;
         frozen_[f] = 1;
         --unfrozen;
-        for (const std::int32_t l : ls) {
+        for (const std::int32_t l : route_[f]->links) {
           residual_[l] -= best_share;
           if (residual_[l] < 0.0) residual_[l] = 0.0;
           --users_[l];
@@ -219,7 +270,7 @@ void FlowEngine::recompute() {
     for (const FlowId f : set_) {
       const double old = rate_[f];
       const double nu = new_rate_[f];
-      if (has_event_[f] && std::abs(nu - old) <= kRateEps * (old + 1.0))
+      if (heap_pos_[f] >= 0 && std::abs(nu - old) <= kRateEps * (old + 1.0))
         continue;
       sync_remaining(f);
       for (const std::int32_t l : route_[f]->links) {
@@ -279,16 +330,12 @@ void FlowEngine::unlink(FlowId f) {
 
 void FlowEngine::process(std::uint64_t until_ps,
                          const CompletionFn& on_complete) {
-  while (!heap_.empty() && heap_.top().when <= until_ps) {
-    const sim::detail::QEvent ev = heap_.pop();
-    const auto f = static_cast<FlowId>(ev.payload & 0xffffffffu);
-    const auto g = static_cast<std::uint32_t>(ev.payload >> 32);
-    if (gen_[f] != g) {
-      ++stats_.stale_events;
-      continue;
-    }
-    HPCCSIM_ASSERT(ev.when >= now_ps_);
-    now_ps_ = ev.when;
+  while (!heap_.empty() && heap_.front().when <= until_ps) {
+    const FlowId f = heap_.front().flow;
+    const std::uint64_t when = heap_.front().when;
+    heap_pop();
+    HPCCSIM_ASSERT(when >= now_ps_);
+    now_ps_ = when;
     sync_remaining(f);
     if (remaining_[f] > kEpsBytes) {
       schedule(f);  // picosecond rounding left a sliver; finish it
@@ -300,10 +347,9 @@ void FlowEngine::process(std::uint64_t until_ps,
                        dst_[f],
                        bytes_[f],
                        sim::Time::ps(start_ps_[f]),
-                       sim::Time::ps(ev.when),
+                       sim::Time::ps(when),
                        route_[f]->bottleneck_bps,
                        tag_[f]};
-    ++gen_[f];  // invalidate any remaining heap entries for this slot
     bump_epoch();
     // Seed the ripple with everyone sharing a constraining link with
     // the departing flow, then take the flow out of the network.
@@ -327,6 +373,8 @@ void FlowEngine::run_until(sim::Time t, const CompletionFn& on_complete) {
 void FlowEngine::run_to_completion(const CompletionFn& on_complete) {
   process(std::numeric_limits<std::uint64_t>::max(), on_complete);
   HPCCSIM_ENSURES(active_count_ == 0);
+  HPCCSIM_ENSURES(heap_.empty());
+  for (const auto& lst : link_flows_) HPCCSIM_ENSURES(lst.empty());
 }
 
 }  // namespace hpccsim::wan

@@ -5,12 +5,10 @@
 // per event, quadratic overall, unusable past ~10k concurrent flows.
 // This engine is the scalable rebuild behind the same fluid semantics:
 //
-//  - **Completion-time heap.** Pending completions live in a
-//    `sim::detail::BasicEventQueue<36>` — the engine's bucketed
-//    two-tier queue discipline (core/event_queue.hpp) instantiated
-//    with ~69 ms buckets so seconds-apart WAN completions land in the
-//    O(1) ring. Rate changes *reschedule* a flow by bumping its
-//    generation counter; stale heap entries are skipped on pop.
+//  - **One completion entry per flow.** Pending completions live in
+//    a small indexed binary heap over the active flows, keyed
+//    (finish time, schedule sequence). A rate change moves the flow's
+//    one entry in place, so nothing stale is ever left to skip.
 //  - **Link → active-flow index.** Each link keeps the list of flows
 //    crossing it (swap-remove, positions mirrored per flow), so an
 //    event can reach exactly the flows it may affect.
@@ -18,7 +16,9 @@
 //    re-rates only the affected set: seeded from the trigger flow's
 //    links, expanded through *saturated* links only (an unsaturated
 //    link imposes no max-min constraint, so rate changes cannot
-//    propagate across it), until a fixpoint. Per-event cost is
+//    propagate across it), until a fixpoint. Each link is expanded
+//    at most once per recompute, and the water-fill freezes flows by
+//    walking the bottleneck link's own list, so per-event cost is
 //    proportional to the affected neighbourhood, not the flow count.
 //  - **Preallocated SoA slots.** Flow state is struct-of-arrays,
 //    recycled through a free list; per-slot vectors keep their
@@ -36,7 +36,6 @@
 #include <functional>
 #include <vector>
 
-#include "core/event_queue.hpp"
 #include "core/time.hpp"
 #include "util/units.hpp"
 #include "wan/model.hpp"
@@ -66,7 +65,7 @@ class FlowEngine {
     std::int64_t completed = 0;
     std::int64_t recomputes = 0;     ///< restricted water-fill passes
     std::int64_t rate_updates = 0;   ///< per-flow rate changes applied
-    std::int64_t stale_events = 0;   ///< superseded heap entries skipped
+    std::int64_t stale_events = 0;   ///< always 0 (one heap entry per flow)
     std::int64_t active_peak = 0;    ///< max concurrent flows
   };
 
@@ -95,17 +94,19 @@ class FlowEngine {
   void run_to_completion(const CompletionFn& on_complete);
 
  private:
-  // ~69 ms buckets: the 1024-bucket ring covers ~70 s of lookahead.
-  using Heap = sim::detail::BasicEventQueue<36>;
-
   struct LinkEntry {
     FlowId flow;
     std::int32_t hop;  ///< index into the flow's route links
   };
 
-  static std::uintptr_t payload(FlowId f, std::uint32_t gen) {
-    return (static_cast<std::uintptr_t>(gen) << 32) |
-           static_cast<std::uint32_t>(f);
+  /// A flow's pending completion; heap order is (when, seq).
+  struct HeapEntry {
+    std::uint64_t when;
+    std::uint64_t seq;
+    FlowId flow;
+  };
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
 
   FlowId alloc_slot();
@@ -115,6 +116,10 @@ class FlowEngine {
   bool saturated(std::int32_t l) const {
     return rate_sum_[l] >= cap_[l] * (1.0 - 1e-6);
   }
+  void heap_place(std::size_t i, const HeapEntry& e);
+  void heap_sift_up(std::size_t i, HeapEntry e);
+  void heap_sift_down(std::size_t i, HeapEntry e);
+  void heap_pop();
   void bump_epoch();
   bool add_to_set(FlowId f);
   bool add_link_flows(std::int32_t l, FlowId except);
@@ -129,11 +134,10 @@ class FlowEngine {
   std::vector<double> remaining_;             // bytes left, as of synced_ps_
   std::vector<double> rate_;                  // current max-min rate, B/s
   std::vector<std::uint64_t> start_ps_, synced_ps_;
-  std::vector<std::uint32_t> gen_;            // invalidates stale heap entries
   std::vector<std::uint64_t> tag_;
   std::vector<const RouteTable::Route*> route_;
   std::vector<std::vector<std::int32_t>> link_pos_;  // position per hop
-  std::vector<std::uint8_t> has_event_;  // flow has a live heap entry
+  std::vector<std::int32_t> heap_pos_;  // index in heap_, -1 if none
   std::vector<FlowId> free_;
 
   // Per-link state.
@@ -145,6 +149,7 @@ class FlowEngine {
   // allocation once warm).
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> flow_mark_, link_mark_;
+  std::vector<std::uint32_t> link_done_;  // link's flows already added
   std::vector<FlowId> set_;              // affected set, insertion order
   std::vector<std::int32_t> mlinks_;     // member links
   std::vector<double> new_rate_;         // per slot
@@ -154,7 +159,7 @@ class FlowEngine {
   std::vector<FlowId> changed_;
   std::vector<std::int32_t> dirty_links_;  // saturated before a change
 
-  Heap heap_;
+  std::vector<HeapEntry> heap_;  // binary min-heap, one entry per flow
   std::uint64_t seq_ = 0;
   std::uint64_t now_ps_ = 0;
   std::int32_t active_count_ = 0;

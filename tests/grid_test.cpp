@@ -4,7 +4,9 @@
 // invariants (conservation + determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "grid/catalog.hpp"
@@ -12,7 +14,9 @@
 #include "grid/grid_sim.hpp"
 #include "grid/workload.hpp"
 #include "obs/counters.hpp"
+#include "util/rng.hpp"
 #include "wan/flow_engine.hpp"
+#include "wan/flows.hpp"
 
 namespace hpccsim::grid {
 namespace {
@@ -302,6 +306,49 @@ TEST(FlowEngine, CallbackMayStartFollowOnFlows) {
   EXPECT_EQ(engine.active(), 0);
 }
 
+// Completions with equal finish times arrive in schedule order, not in
+// slot (FlowId) order: the second pair below reuses the freed slots in
+// reverse (LIFO free list), so slot order and schedule order disagree.
+TEST(FlowEngine, EqualFinishTimesCompleteInScheduleOrder) {
+  wan::Wan w;
+  const SiteId hub = w.add_site("hub");
+  std::vector<SiteId> spokes;
+  for (int i = 0; i < 4; ++i) {
+    spokes.push_back(w.add_site("spoke-" + std::to_string(i)));
+    w.add_link(hub, spokes.back(), wan::LinkType::T3, Time::ms(1));
+  }
+  wan::RouteTable routes(w);
+  wan::FlowEngine engine(routes);
+  std::vector<std::pair<std::uint64_t, wan::FlowEngine::FlowId>> order;
+  std::vector<Time> finish;
+  const auto record = [&](const wan::FlowEngine::Completion& c) {
+    order.emplace_back(c.tag, c.id);
+    finish.push_back(c.finish);
+  };
+  // Disjoint links, equal sizes and bandwidth: identical finish times.
+  engine.start(hub, spokes[2], 4'000'000, 1);
+  engine.start(hub, spokes[0], 4'000'000, 2);
+  engine.start(hub, spokes[3], 4'000'000, 3);
+  engine.run_to_completion(record);
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(finish[0], finish[1]);
+  EXPECT_EQ(finish[1], finish[2]);
+  EXPECT_EQ(order[0].first, 1u);
+  EXPECT_EQ(order[1].first, 2u);
+  EXPECT_EQ(order[2].first, 3u);
+
+  order.clear();
+  finish.clear();
+  engine.start(hub, spokes[1], 2'000'000, 4);
+  engine.start(hub, spokes[3], 2'000'000, 5);
+  engine.run_to_completion(record);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(finish[0], finish[1]);
+  EXPECT_EQ(order[0].first, 4u);
+  EXPECT_EQ(order[1].first, 5u);
+  EXPECT_GT(order[0].second, order[1].second);  // slots reused in reverse
+}
+
 GridSimulator::Stats run_grid(Placement policy, obs::Registry* reg = nullptr) {
   const Federation fed(small_config());
   WorkloadGenerator wl(small_workload(), fed);
@@ -361,6 +408,60 @@ TEST(GridSimulator, CachingServesRepeatRequests) {
   const auto s = run_grid(Placement::WidestPath);
   EXPECT_GT(s.cache_hits, 0);
   EXPECT_GT(s.cache_fills, 0);
+}
+
+// Exact results of the engine, pinned as produced before the water-fill
+// was indexed by link: any change to its floating-point evaluation
+// sequence (or to completion order) moves these.
+struct GridGolden {
+  Placement policy;
+  std::int64_t recomputes, rate_updates, flows_completed;
+  Bytes bytes_moved;
+  double mean_slowdown;
+};
+
+void expect_golden(const FederationConfig& fc, const WorkloadConfig& wc,
+                   const GridGolden& want) {
+  const Federation fed(fc);
+  WorkloadGenerator wl(wc, fed);
+  GridSimulator sim(fed, want.policy);
+  sim.run(wl);
+  const auto& s = sim.stats();
+  const auto& e = sim.engine_stats();
+  const char* name = placement_name(want.policy);
+  EXPECT_EQ(e.recomputes, want.recomputes) << name;
+  EXPECT_EQ(e.rate_updates, want.rate_updates) << name;
+  EXPECT_EQ(e.stale_events, 0) << name;
+  EXPECT_EQ(s.flows_completed, want.flows_completed) << name;
+  EXPECT_EQ(s.bytes_moved, want.bytes_moved) << name;
+  EXPECT_EQ(s.mean_slowdown(), want.mean_slowdown) << name;
+}
+
+TEST(GridSimulator, GoldenSmallFederation) {
+  for (const GridGolden& g :
+       {GridGolden{Placement::WidestPath, 610, 630, 490, 5200461237,
+                   1.1443663086348752},
+        GridGolden{Placement::LeastLoaded, 689, 679, 490, 5200461237,
+                   1.2120492629261184}})
+    expect_golden(small_config(), small_workload(), g);
+}
+
+// A rush hour squeezed into the first 18 minutes on the default 4x6
+// federation: 169 (widest) and 498 (least-loaded) concurrent flows.
+TEST(GridSimulator, GoldenRushHour) {
+  WorkloadConfig wc;
+  wc.days = 0.0125;
+  wc.requests_per_day = 600000.0;
+  wc.dataset_count = 20000;
+  wc.rush_hour = 0.2;
+  wc.rush_width_h = 0.1;
+  wc.median_bytes = 3.5e6;
+  for (const GridGolden& g :
+       {GridGolden{Placement::WidestPath, 32601, 135497, 12785, 74782605304,
+                   5.7415188523444396},
+        GridGolden{Placement::LeastLoaded, 56276, 2183604, 12785,
+                   74782605304, 19.88445729595157}})
+    expect_golden(FederationConfig{}, wc, g);
 }
 
 TEST(GridSimulator, SingleShot) {

@@ -227,6 +227,26 @@ TEST(Cli, MalformedNumbersExitWithStatus2) {
               "^prog: --sizes: expected an integer, got '12x'\n$");
 }
 
+TEST(Cli, OutOfRangeNumbersExitWithStatus2) {
+  ArgParser p("prog", "test");
+  p.add_option("n", "size", "0");
+  p.add_option("days", "horizon", "0");
+  p.add_option("mb", "size", "-1");
+  p.add_option("rate", "x", "nan");
+  const char* argv[] = {"prog"};
+  p.parse(1, argv);
+  EXPECT_EQ(p.integer("n", 0, 5), 0);
+  EXPECT_EQ(p.real_at_least("days", 0.0), 0.0);
+  EXPECT_EXIT(p.integer("n", 1, 5), ::testing::ExitedWithCode(2),
+              "^prog: --n: expected an integer in \\[1, 5\\], got '0'\n$");
+  EXPECT_EXIT(p.real_above("days", 0.0), ::testing::ExitedWithCode(2),
+              "^prog: --days: expected a number > 0, got '0'\n$");
+  EXPECT_EXIT(p.real_at_least("mb", 1e-6), ::testing::ExitedWithCode(2),
+              "^prog: --mb: expected a number >= 1e-06, got '-1'\n$");
+  EXPECT_EXIT(p.real_at_least("rate", 0.0), ::testing::ExitedWithCode(2),
+              "^prog: --rate: expected a number >= 0, got 'nan'\n$");
+}
+
 // --------------------------------------------------------------- Stats --
 
 TEST(RunningStat, BasicMoments) {

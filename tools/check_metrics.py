@@ -28,14 +28,20 @@ import sys
 
 # Simulation-deterministic headline metrics, gated exactly like sim_time_s:
 # the fig1 n=25,000 operating point ("13 GFLOPS ... OF ORDER 25,000"),
-# and the shared-platform month's waste per checkpoint-ordering strategy
-# (the cooperative-vs-Young/Daly comparison must not drift silently).
+# the shared-platform month's waste per checkpoint-ordering strategy
+# (the cooperative-vs-Young/Daly comparison must not drift silently),
+# and the A12 federation day's transfer counts and per-policy slowdown
+# (any change to the fluid max-min engine's results shows up here).
 GATED_METRICS = (
     "gflops_n25000",
     "sim_time_n25000_s",
     "waste_pct_uncoordinated",
     "waste_pct_fifo_coop",
     "waste_pct_ordered_coop",
+    "flows_total",
+    "requests_total",
+    "widest_mean_slowdown",
+    "least_loaded_mean_slowdown",
 )
 
 # Relative drift allowed on deterministic values: exact up to the last
