@@ -204,9 +204,12 @@ void FlowEngine::heap_pop() {
 // residual capacities, applies the rate changes, and expands the set
 // through every link that was saturated before or after a change (an
 // unsaturated link imposes no max-min constraint in either direction,
-// so no change can propagate across it). Terminates because the set
-// only grows; at the fixpoint every affected flow sits at its
-// restricted max-min share and no constraint reaches outside the set.
+// so no change can propagate across it) and through every bottleneck
+// that a non-member outruns (the members' share there is not yet
+// max-min: the faster flow must give way). Terminates because the set
+// only grows; at the fixpoint every member's bottleneck carries no
+// faster flow and no constraint reaches outside the set, which is the
+// global max-min allocation.
 void FlowEngine::recompute() {
   if (set_.empty()) return;
   for (;;) {
@@ -232,6 +235,7 @@ void FlowEngine::recompute() {
       if (residual_[l] < 0.0) residual_[l] = 0.0;
 
     // Progressive water-filling restricted to the affected set.
+    overtaken_.clear();
     for (const FlowId f : set_) frozen_[f] = 0;
     std::size_t unfrozen = set_.size();
     while (unfrozen > 0) {
@@ -249,9 +253,16 @@ void FlowEngine::recompute() {
       // Freeze the unfrozen members crossing `best`. Every one of them
       // subtracts the same best_share (clamped at 0) from its links, so
       // the order they are visited in cannot change residual_.
+      bool overtaken = false;
       for (const LinkEntry& e : link_flows_[best]) {
         const FlowId f = e.flow;
-        if (flow_mark_[f] != epoch_ || frozen_[f]) continue;
+        if (flow_mark_[f] != epoch_) {
+          // A non-member faster than this share keeps `best` from being
+          // the members' max-min bottleneck: it must be re-rated too.
+          overtaken |= rate_[f] - best_share > kRateEps * (best_share + 1.0);
+          continue;
+        }
+        if (frozen_[f]) continue;
         new_rate_[f] = best_share;
         frozen_[f] = 1;
         --unfrozen;
@@ -261,6 +272,7 @@ void FlowEngine::recompute() {
           --users_[l];
         }
       }
+      if (overtaken) overtaken_.push_back(best);
     }
 
     // Apply. A flow with no pending completion event (fresh arrival)
@@ -289,21 +301,11 @@ void FlowEngine::recompute() {
 
     // Expand through constraining links; stop at the fixpoint.
     bool grew = false;
+    for (const std::int32_t l : overtaken_) grew |= add_link_flows(l, -1);
     for (const std::int32_t l : dirty_links_) grew |= add_link_flows(l, -1);
     for (const FlowId f : changed_)
       for (const std::int32_t l : route_[f]->links)
         if (saturated(l)) grew |= add_link_flows(l, -1);
-    // A starved flow (zero share: it arrived on a fully-occupied link)
-    // pulls in everyone it shares a link with so the next pass can
-    // redistribute — max-min never leaves a flow at zero. Indexed loop:
-    // add_link_flows appends to set_.
-    const std::size_t members = set_.size();
-    for (std::size_t i = 0; i < members; ++i) {
-      const FlowId f = set_[i];
-      if (rate_[f] > 0.0) continue;
-      for (const std::int32_t l : route_[f]->links)
-        grew |= add_link_flows(l, f);
-    }
     if (!grew) break;
   }
   set_.clear();

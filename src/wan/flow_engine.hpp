@@ -16,7 +16,9 @@
 //    re-rates only the affected set: seeded from the trigger flow's
 //    links, expanded through *saturated* links only (an unsaturated
 //    link imposes no max-min constraint, so rate changes cannot
-//    propagate across it), until a fixpoint. Each link is expanded
+//    propagate across it) and through any bottleneck on which a
+//    non-member runs faster than the members' share, until a
+//    fixpoint. Each link is expanded
 //    at most once per recompute, and the water-fill freezes flows by
 //    walking the bottleneck link's own list, so per-event cost is
 //    proportional to the affected neighbourhood, not the flow count.
@@ -27,9 +29,9 @@
 // Rates follow the same progressive water-filling as
 // FlowSimulator::fair_rates, with the same pinned tie-break (ascending
 // link index; see docs/MODEL.md §12), restricted to the affected set
-// against residual capacities. tests/wan_test.cpp cross-checks the
-// engine against the retained full-recompute reference on randomized
-// scenarios.
+// against residual capacities. tests/wan_test.cpp and tests/grid_test.cpp
+// cross-check the engine against the retained full-recompute reference
+// on randomized scenarios, the latter with 150+ concurrent flows.
 #pragma once
 
 #include <cstdint>
@@ -158,6 +160,7 @@ class FlowEngine {
   std::vector<std::uint8_t> frozen_;     // per slot
   std::vector<FlowId> changed_;
   std::vector<std::int32_t> dirty_links_;  // saturated before a change
+  std::vector<std::int32_t> overtaken_;    // bottlenecks with faster non-members
 
   std::vector<HeapEntry> heap_;  // binary min-heap, one entry per flow
   std::uint64_t seq_ = 0;
