@@ -62,21 +62,13 @@ struct EventAfter {
   }
 };
 
-/// The queue discipline, parameterized on bucket width so other
-/// event-driven subsystems with a different natural time scale can
-/// reuse it: the engine instantiates the default 2^16 ps (~65.5 ns)
-/// buckets; the WAN flow engine (src/wan/flow_engine.hpp), whose
-/// completion events are milliseconds-to-hours apart, instantiates
-/// 2^36 ps (~69 ms) buckets so completions still land in the O(1)
-/// ring instead of degenerating into the far heap.
-template <unsigned BucketBits = 16>
-class BasicEventQueue {
+/// The engine's queue discipline.
+class EventQueue {
  public:
-  /// Near-window geometry: 1024 buckets of 2^BucketBits ps each. At the
-  /// default 16 bits that covers a ~67 us window — wide enough that NX
-  /// software overheads (tens of us) and flit cycles land in the ring,
-  /// not the far heap.
-  static constexpr std::uint64_t kBucketBits = BucketBits;
+  /// Near-window geometry: 1024 buckets of 2^16 ps (~65.5 ns) each,
+  /// a ~67 us window — wide enough that NX software overheads (tens of
+  /// us) and flit cycles land in the ring, not the far heap.
+  static constexpr std::uint64_t kBucketBits = 16;
   static constexpr std::uint64_t kBucketWidth = std::uint64_t{1} << kBucketBits;
   static constexpr std::size_t kBuckets = 1024;
   static constexpr std::size_t kSlotMask = kBuckets - 1;
@@ -89,7 +81,7 @@ class BasicEventQueue {
   /// reserve is ~190 KiB per queue.
   static constexpr std::size_t kBucketReserve = 8;
 
-  BasicEventQueue() : ring_(kBuckets) {
+  EventQueue() : ring_(kBuckets) {
     occupied_.fill(0);
     active_.reserve(kBucketReserve);
     for (auto& b : ring_) b.reserve(kBucketReserve);
@@ -242,8 +234,5 @@ class BasicEventQueue {
   std::uint64_t active_bucket_ = 0;        // absolute index (when >> bits)
   std::size_t size_ = 0;
 };
-
-/// The engine's instantiation: ~65.5 ns buckets (see class comment).
-using EventQueue = BasicEventQueue<>;
 
 }  // namespace hpccsim::sim::detail

@@ -617,7 +617,7 @@ TEST(Determinism, MixedCoroutineAndCallbackWorkloadRepeatsExactly) {
 
 // ------------------------------------------ event-queue differential --
 //
-// BasicEventQueue against a plain std::priority_queue on (when, seq):
+// EventQueue against a plain std::priority_queue on (when, seq):
 // randomized pushes aimed at every tier boundary — same instant, same
 // bucket, the near ring, just either side of the 1024-bucket window
 // edge, and far beyond it — interleaved with top()/pop(). top() may
@@ -634,9 +634,8 @@ TEST(Determinism, MixedCoroutineAndCallbackWorkloadRepeatsExactly) {
 namespace hpccsim::sim {
 namespace {
 
-template <unsigned Bits>
 void check_queue_against_reference(std::uint64_t seed, int ops) {
-  using Queue = detail::BasicEventQueue<Bits>;
+  using Queue = detail::EventQueue;
   using detail::QEvent;
   Queue q;
   std::priority_queue<QEvent, std::vector<QEvent>, detail::EventAfter> ref;
@@ -711,12 +710,7 @@ void check_queue_against_reference(std::uint64_t seed, int ops) {
 
 TEST(EventQueueDifferential, EngineBucketsMatchReferenceHeap) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 42u, 2026u})
-    check_queue_against_reference<16>(seed, 100'000);
-}
-
-TEST(EventQueueDifferential, FlowEngineBucketsMatchReferenceHeap) {
-  for (const std::uint64_t seed : {1u, 2u, 3u, 42u, 2026u})
-    check_queue_against_reference<36>(seed, 100'000);
+    check_queue_against_reference(seed, 100'000);
 }
 
 }  // namespace
