@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
   // bad value exits with status 2 and a message instead of aborting.
   constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
   FederationConfig fc;
-  fc.regions = static_cast<std::int32_t>(args.integer("regions", 1, kInt32Max));
+  fc.regions =
+      static_cast<std::int32_t>(args.integer("regions", 1, kInt32Max));
   fc.leaves_per_region =
       static_cast<std::int32_t>(args.integer("leaves", 1, kInt32Max));
 

@@ -18,10 +18,10 @@
 //    link imposes no max-min constraint, so rate changes cannot
 //    propagate across it) and through any bottleneck on which a
 //    non-member runs faster than the members' share, until a
-//    fixpoint. Each link is expanded
-//    at most once per recompute, and the water-fill freezes flows by
-//    walking the bottleneck link's own list, so per-event cost is
-//    proportional to the affected neighbourhood, not the flow count.
+//    fixpoint. Each link is expanded at most once per recompute, and
+//    the water-fill freezes flows by walking the bottleneck link's own
+//    list, so per-event cost is proportional to the affected
+//    neighbourhood, not the flow count.
 //  - **Preallocated SoA slots.** Flow state is struct-of-arrays,
 //    recycled through a free list; per-slot vectors keep their
 //    capacity, so steady state allocates nothing.
@@ -67,7 +67,7 @@ class FlowEngine {
     std::int64_t completed = 0;
     std::int64_t recomputes = 0;     ///< restricted water-fill passes
     std::int64_t rate_updates = 0;   ///< per-flow rate changes applied
-    std::int64_t stale_events = 0;   ///< always 0 (one heap entry per flow)
+    std::int64_t stale_events = 0;   ///< always 0; the benchmark reads it
     std::int64_t active_peak = 0;    ///< max concurrent flows
   };
 

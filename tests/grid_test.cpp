@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -349,10 +350,10 @@ TEST(FlowEngine, EqualFinishTimesCompleteInScheduleOrder) {
   EXPECT_GT(order[0].second, order[1].second);  // slots reused in reverse
 }
 
-// The engine against the full-recompute oracle under contention: the
-// default 4x6 federation with every archive pushing to every leaf at
-// once, so each leaf access link carries many flows and every water-fill
-// pass freezes several flows per bottleneck. Finish times must agree
+// The engine against the full-recompute oracle under contention: 220
+// transfers into the leaves of the default 4x6 federation, started
+// within 2 s, so each leaf access link carries many flows and water-fill
+// passes freeze several flows per bottleneck. Finish times must agree
 // (up to the engine's picosecond event rounding and rate-change
 // absorption), and the scenario must really hold >= 150 flows at once.
 TEST(FlowEngine, MatchesReferenceUnderFederationRushHour) {
