@@ -6,6 +6,7 @@
 // on the full 33 x 16 mesh with the analytical contention model.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "mesh/analytical.hpp"
 #include "mesh/flit.hpp"
@@ -43,11 +44,20 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Range checks mirror generate_traffic's contracts, so a bad value
+  // exits with status 2 and a message instead of aborting.
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+  const auto messages =
+      static_cast<std::int32_t>(args.integer("messages", 1, kInt32Max));
+  const auto bytes = static_cast<Bytes>(args.integer("bytes", 1, kInt32Max));
+  const auto flit_msgs =
+      static_cast<std::int32_t>(args.integer("flit-messages", 0, kInt32Max));
+
   const proc::MachineConfig mc = proc::touchstone_delta();
   const Mesh2D mesh = mc.mesh();
   std::printf("== F4: %s wormhole mesh, %llu-byte messages ==\n",
               mesh.describe().c_str(),
-              static_cast<unsigned long long>(args.integer("bytes")));
+              static_cast<unsigned long long>(bytes));
 
   const std::vector<Pattern> patterns{Pattern::UniformRandom,
                                       Pattern::Transpose, Pattern::BitReversal,
@@ -68,8 +78,8 @@ int main(int argc, char** argv) {
     const double gap_us = gaps[i % gaps.size()];
     TrafficConfig cfg;
     cfg.pattern = p;
-    cfg.messages_per_node = static_cast<std::int32_t>(args.integer("messages"));
-    cfg.message_bytes = static_cast<Bytes>(args.integer("bytes"));
+    cfg.messages_per_node = messages;
+    cfg.message_bytes = bytes;
     cfg.mean_gap = sim::Time::us(gap_us);
     cfg.seed = 92;
     const auto trace = generate_traffic(mesh, cfg);
@@ -120,8 +130,6 @@ int main(int argc, char** argv) {
   // delivery is byte-compared, and the wall-clock speedup lands in the
   // JSON metrics (wall times never appear on stdout or in the default
   // JSON, keeping the determinism byte-compare clean).
-  const auto flit_msgs =
-      static_cast<std::int32_t>(args.integer("flit-messages"));
   int rc = 0;
   if (flit_msgs > 0) {
     const std::vector<Pattern> fpatterns{Pattern::UniformRandom,
@@ -148,7 +156,7 @@ int main(int argc, char** argv) {
       TrafficConfig cfg;
       cfg.pattern = p;
       cfg.messages_per_node = flit_msgs;
-      cfg.message_bytes = static_cast<Bytes>(args.integer("bytes"));
+      cfg.message_bytes = bytes;
       cfg.mean_gap = sim::Time::us(gap_us);
       cfg.seed = 92;
       const auto trace = generate_traffic(mesh, cfg);

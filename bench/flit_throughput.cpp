@@ -11,6 +11,7 @@
 // therefore reported, never gated; the simulated spans and counters are
 // deterministic and land in the --json metrics.
 #include <cstdio>
+#include <limits>
 
 #include "mesh/flit.hpp"
 #include "mesh/traffic.hpp"
@@ -44,23 +45,29 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::int32_t width = static_cast<std::int32_t>(args.integer("width"));
-  std::int32_t height = static_cast<std::int32_t>(args.integer("height"));
+  // Range checks run before any thread starts, so a bad value exits
+  // with status 2 and a message instead of aborting. A side of at most
+  // 4096 keeps every flat port index of FlitNetwork within int32.
+  constexpr std::int64_t kMaxSide = 4096;
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+  std::int32_t width =
+      static_cast<std::int32_t>(args.integer("width", 1, kMaxSide));
+  std::int32_t height =
+      static_cast<std::int32_t>(args.integer("height", 1, kMaxSide));
+  const auto messages =
+      static_cast<std::int32_t>(args.integer("messages", 1, kInt32Max));
+  const auto bytes = static_cast<Bytes>(args.integer("bytes", 1, kInt32Max));
+  const int threads = static_cast<int>(args.integer("threads", 1, 256));
   if (!args.str("shape").empty()) {
     int w = 0, h = 0;
     if (std::sscanf(args.str("shape").c_str(), "%dx%d", &w, &h) != 2 ||
-        w < 1 || h < 1) {
+        w < 1 || h < 1 || w > kMaxSide || h > kMaxSide) {
       std::fprintf(stderr, "bad --shape '%s' (want WxH, e.g. 64x64)\n",
                    args.str("shape").c_str());
       return 2;
     }
     width = w;
     height = h;
-  }
-  const int threads = static_cast<int>(args.integer("threads"));
-  if (threads < 1) {
-    std::fprintf(stderr, "--threads must be >= 1\n");
-    return 2;
   }
 
   const Mesh2D mesh(width, height);
@@ -93,9 +100,8 @@ int main(int argc, char** argv) {
   int rc = 0;
   for (const double gap_us : gaps) {
     TrafficConfig cfg;
-    cfg.messages_per_node =
-        static_cast<std::int32_t>(args.integer("messages"));
-    cfg.message_bytes = static_cast<Bytes>(args.integer("bytes"));
+    cfg.messages_per_node = messages;
+    cfg.message_bytes = bytes;
     cfg.mean_gap = sim::Time::us(gap_us);
     cfg.seed = 1992;
     const auto trace = generate_traffic(mesh, cfg);

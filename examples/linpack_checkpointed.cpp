@@ -7,11 +7,13 @@
 // MB/s of aggregate disk. This example runs such a campaign under
 // seeded fault injection with checkpoint/restart at the Daly-optimal
 // interval, and reports what the machine's 13-GFLOPS headline turns
-// into once failures and checkpoint overhead take their cut.
-//
-//   $ ./linpack_checkpointed --runs 10 --mtbf-days 15 \
-//       --trace trace.json   # Chrome trace: open in ui.perfetto.dev
-//       --json metrics.json  # machine-readable metrics
+// into once failures and checkpoint overhead take their cut. --trace
+// writes a Chrome trace (open it in ui.perfetto.dev), --json the
+// machine-readable metrics:
+/*
+    $ ./linpack_checkpointed --runs 10 --mtbf-days 15 \
+        --trace trace.json --json metrics.json
+*/
 #include <cmath>
 #include <cstdio>
 

@@ -1,5 +1,6 @@
 #include "mesh/flit.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <stdexcept>
@@ -33,6 +34,8 @@ FlitNetwork::FlitNetwork(Mesh2D mesh, FlitParams params)
   router_flits_.assign(static_cast<std::size_t>(n_), 0);
   active_.assign(static_cast<std::size_t>((n_ + 63) / 64), 0);
   inject_mask_.assign(active_.size(), 0);
+  ready_.assign(active_.size(), 0);
+  cal_.reserve(static_cast<std::size_t>(n_));
   inject_.resize(static_cast<std::size_t>(n_));
   nbr_.resize(static_cast<std::size_t>(n_) * 4);
   cx_.resize(static_cast<std::size_t>(n_));
@@ -53,12 +56,46 @@ std::size_t FlitNetwork::inject(NodeId src, NodeId dst, Bytes bytes,
   HPCCSIM_EXPECTS(dst >= 0 && dst < n_);
   HPCCSIM_EXPECTS(src != dst);
   HPCCSIM_EXPECTS(bytes > 0);
+  const auto m = static_cast<std::int32_t>(messages_.size());
   messages_.push_back(FlitMessage{src, dst, bytes, inject_cycle, 0, false});
-  inject_[static_cast<std::size_t>(src)].pending.push_back(
-      static_cast<std::int32_t>(messages_.size() - 1));
-  set_bit(inject_mask_, src);
+  next_msg_.push_back(-1);
+  auto& st = inject_[static_cast<std::size_t>(src)];
+  if (st.head < 0) {
+    // A new front: the source enters the calendar. A queued source keeps
+    // its front, so its calendar entry stands.
+    st.head = m;
+    set_bit(inject_mask_, src);
+    if (cal_valid_) cal_push(src);
+  } else {
+    next_msg_[static_cast<std::size_t>(st.tail)] = m;
+  }
+  st.tail = m;
   ++undelivered_;
-  return messages_.size() - 1;
+  return static_cast<std::size_t>(m);
+}
+
+void FlitNetwork::cal_push(NodeId n) {
+  const std::int32_t m = inject_[static_cast<std::size_t>(n)].head;
+  cal_.push_back(
+      CalEntry{messages_[static_cast<std::size_t>(m)].inject_cycle, n});
+  std::push_heap(cal_.begin(), cal_.end(), CalLater{});
+}
+
+// Every pending source goes into the heap, none into ready_: phase 1
+// moves the due ones over before it walks, and inject_horizon() may
+// assume an empty ready set on an empty network (see there).
+void FlitNetwork::rebuild_calendar() {
+  std::fill(ready_.begin(), ready_.end(), 0);
+  ready_count_ = 0;
+  cal_.clear();
+  for (NodeId n = 0; n < n_; ++n) {
+    const std::int32_t m = inject_[static_cast<std::size_t>(n)].head;
+    if (m >= 0)
+      cal_.push_back(
+          CalEntry{messages_[static_cast<std::size_t>(m)].inject_cycle, n});
+  }
+  std::make_heap(cal_.begin(), cal_.end(), CalLater{});
+  cal_valid_ = true;
 }
 
 std::int64_t FlitNetwork::flits_of(std::int32_t msg) const {
@@ -119,9 +156,59 @@ void FlitNetwork::stage(NodeId node, int port, const Flit& f) {
   ++staged_count_[static_cast<std::size_t>(pidx(node, port))];
 }
 
+bool FlitNetwork::inject_flit(NodeId n, InjectState& st) {
+  const std::int32_t m = st.head;
+  const std::int64_t total = flits_of(m);
+  Flit f;
+  f.msg = m;
+  f.dst = messages_[static_cast<std::size_t>(m)].dst;
+  f.head = st.flits_sent == 0;
+  f.tail = st.flits_sent == total - 1;
+  stage(n, kLocal, f);
+  ++in_flight_flits_;
+  ++injected_flits_;
+  if (++st.flits_sent < total) return false;
+  st.flits_sent = 0;
+  pop_pending(st);
+  if (st.head < 0) clear_bit(inject_mask_, n);
+  return true;
+}
+
 // Phase 1: injection — one flit per node per cycle into the local input
-// port, in node-id order over the sources with pending messages.
+// port, in node-id order over the sources whose front message is due.
+// The calendar's due heap entries move to ready_ first, so ready_ is
+// exactly that set; a source leaves it when its next front is not due.
 void FlitNetwork::phase1_inject(bool& moved) {
+  while (!cal_.empty() && cal_.front().cycle <= cycle_) {
+    set_bit(ready_, cal_.front().node);
+    ++ready_count_;
+    std::pop_heap(cal_.begin(), cal_.end(), CalLater{});
+    cal_.pop_back();
+  }
+  if (ready_count_ == 0) return;
+  for (std::size_t wi = 0; wi < ready_.size(); ++wi) {
+    std::uint64_t w = ready_[wi];
+    while (w) {
+      const NodeId n =
+          static_cast<NodeId>((wi << 6) + std::countr_zero(w));
+      w &= w - 1;
+      if (!has_space(pidx(n, kLocal))) continue;
+      auto& st = inject_[static_cast<std::size_t>(n)];
+      moved = true;
+      if (!inject_flit(n, st)) continue;
+      if (st.head >= 0 &&
+          messages_[static_cast<std::size_t>(st.head)].inject_cycle <= cycle_)
+        continue;
+      clear_bit(ready_, n);
+      --ready_count_;
+      if (st.head >= 0) cal_push(n);
+    }
+  }
+}
+
+// Reference phase 1: the same injections found by scanning every
+// pending source each cycle, without the calendar.
+void FlitNetwork::phase1_inject_reference(bool& moved) {
   for (std::size_t wi = 0; wi < inject_mask_.size(); ++wi) {
     std::uint64_t w = inject_mask_[wi];
     while (w) {
@@ -129,25 +216,11 @@ void FlitNetwork::phase1_inject(bool& moved) {
           static_cast<NodeId>((wi << 6) + std::countr_zero(w));
       w &= w - 1;
       auto& st = inject_[static_cast<std::size_t>(n)];
-      const std::int32_t m = st.pending.front();
-      if (messages_[static_cast<std::size_t>(m)].inject_cycle > cycle_)
+      if (messages_[static_cast<std::size_t>(st.head)].inject_cycle > cycle_)
         continue;
       if (!has_space(pidx(n, kLocal))) continue;
-      const std::int64_t total = flits_of(m);
-      Flit f;
-      f.msg = m;
-      f.dst = messages_[static_cast<std::size_t>(m)].dst;
-      f.head = st.flits_sent == 0;
-      f.tail = st.flits_sent == total - 1;
-      stage(n, kLocal, f);
-      ++in_flight_flits_;
-      ++injected_flits_;
+      inject_flit(n, st);
       moved = true;
-      if (++st.flits_sent == total) {
-        st.pending.pop_front();
-        st.flits_sent = 0;
-        if (st.pending.empty()) clear_bit(inject_mask_, n);
-      }
     }
   }
 }
@@ -259,10 +332,11 @@ void FlitNetwork::phase3_apply() {
 
 bool FlitNetwork::step_impl(bool full_scan) {
   bool moved = false;
-  phase1_inject(moved);
   if (full_scan) {
+    phase1_inject_reference(moved);
     for (NodeId n = 0; n < n_; ++n) phase2_router(n, moved);
   } else {
+    phase1_inject(moved);
     // Only routers holding a visible flit can change any state this
     // cycle; both walks below visit exactly those routers in id order,
     // matching the full scan (skipped routers are provable no-ops).
@@ -295,56 +369,44 @@ bool FlitNetwork::step_impl(bool full_scan) {
   return moved;
 }
 
-bool FlitNetwork::step() { return step_impl(false); }
-bool FlitNetwork::step_reference() { return step_impl(true); }
+bool FlitNetwork::step() {
+  if (!cal_valid_) rebuild_calendar();
+  return step_impl(false);
+}
 
+bool FlitNetwork::step_reference() {
+  cal_valid_ = false;  // moves fronts without the calendar
+  return step_impl(true);
+}
+
+// Read off the calendar. On an empty network ready_ is empty: a ready
+// source either injects in phase 1 (its flit is in flight at the cycle
+// boundary) or is blocked by a full local port (which holds >= 1 flit
+// after phase 2), and rebuild_calendar() fills only the heap. So the
+// heap holds every pending source keyed by its front's inject cycle:
+// the root is the minimum, and the smaller of its two children is the
+// least key of any other source, which both detects a tie and bounds
+// the second injection.
 FlitNetwork::InjectHorizon FlitNetwork::inject_horizon() const {
+  HPCCSIM_ASSERT(cal_valid_ && ready_count_ == 0);
   InjectHorizon h;
   h.first = kNever;
   h.second = kNever;
   h.node = -1;
-  bool multi = false;
-  for (std::size_t wi = 0; wi < inject_mask_.size(); ++wi) {
-    std::uint64_t w = inject_mask_[wi];
-    while (w) {
-      const NodeId n =
-          static_cast<NodeId>((wi << 6) + std::countr_zero(w));
-      w &= w - 1;
-      const auto& pend = inject_[static_cast<std::size_t>(n)].pending;
-      const std::uint64_t c =
-          messages_[static_cast<std::size_t>(pend.front())].inject_cycle;
-      if (c < h.first) {
-        h.first = c;
-        h.node = n;
-        multi = false;
-      } else if (c == h.first) {
-        multi = true;
-      }
-    }
-  }
-  if (multi) {
-    h.node = -1;
-    return h;
-  }
-  for (std::size_t wi = 0; wi < inject_mask_.size(); ++wi) {
-    std::uint64_t w = inject_mask_[wi];
-    while (w) {
-      const NodeId n =
-          static_cast<NodeId>((wi << 6) + std::countr_zero(w));
-      w &= w - 1;
-      const auto& pend = inject_[static_cast<std::size_t>(n)].pending;
-      if (n == h.node) {
-        if (pend.size() > 1)
-          h.second = std::min(
-              h.second,
-              messages_[static_cast<std::size_t>(pend[1])].inject_cycle);
-      } else {
-        h.second = std::min(
-            h.second,
-            messages_[static_cast<std::size_t>(pend.front())].inject_cycle);
-      }
-    }
-  }
+  if (cal_.empty()) return h;
+  h.first = cal_[0].cycle;
+  std::uint64_t others = kNever;
+  if (cal_.size() > 1) others = cal_[1].cycle;
+  if (cal_.size() > 2) others = std::min(others, cal_[2].cycle);
+  if (others == h.first) return h;  // tied across nodes
+  h.node = cal_[0].node;
+  const std::int32_t next =
+      next_msg_[static_cast<std::size_t>(
+          inject_[static_cast<std::size_t>(h.node)].head)];
+  h.second = next >= 0 ? std::min(others,
+                                  messages_[static_cast<std::size_t>(next)]
+                                      .inject_cycle)
+                       : others;
   return h;
 }
 
@@ -400,7 +462,7 @@ bool FlitNetwork::try_empty_advance(std::uint64_t max_cycles) {
     // again one cycle later. Safe only if no other message can
     // start injecting before that point.
     auto& st = inject_[static_cast<std::size_t>(h.node)];
-    const std::int32_t m = st.pending.front();
+    const std::int32_t m = st.head;
     HPCCSIM_ASSERT(st.flits_sent == 0);
     const auto& msg = messages_[static_cast<std::size_t>(m)];
     const auto hops =
@@ -418,8 +480,14 @@ bool FlitNetwork::try_empty_advance(std::uint64_t max_cycles) {
       link_flits_ += nflits * hops;
       ffwd_flits_ += nflits;
       ++ffwd_messages_;
-      st.pending.pop_front();
-      if (st.pending.empty()) clear_bit(inject_mask_, h.node);
+      // h.node is the calendar's root; re-key it by its next front.
+      std::pop_heap(cal_.begin(), cal_.end(), CalLater{});
+      cal_.pop_back();
+      pop_pending(st);
+      if (st.head < 0)
+        clear_bit(inject_mask_, h.node);
+      else
+        cal_push(h.node);
       cycle_ = done;
       return true;
     }
@@ -428,6 +496,7 @@ bool FlitNetwork::try_empty_advance(std::uint64_t max_cycles) {
 }
 
 void FlitNetwork::run(std::uint64_t max_cycles) {
+  if (!cal_valid_) rebuild_calendar();
   if (par_eligible()) {
     run_parallel(max_cycles);
     return;

@@ -21,13 +21,19 @@
 // Hot-path layout (docs/MODEL.md §10): router state is structure-of-
 // arrays — flits are 12-byte POD records in one flat preallocated ring-
 // buffer arena (per-port capacity = input_buffer_flits), with flat
-// head/size/owner arrays beside it. After construction, stepping never
-// touches the heap. Three scheduling optimisations sit on top, all
+// head/size/owner arrays beside it. Each source's pending messages form
+// an intrusive FIFO threaded through one next-message array beside the
+// message table. After construction and inject(), stepping never
+// touches the heap. Four scheduling optimisations sit on top, all
 // provably result-identical to plain per-cycle stepping:
 //
 //   - active-set stepping: step() visits only routers that hold at
 //     least one visible flit (a bitmap kept exact by push/pop), so the
 //     per-cycle cost scales with flits in flight, not mesh size;
+//   - injection calendar: sources whose front message is due sit in a
+//     ready bitmap, all others in a min-heap keyed by the front's
+//     inject cycle, so phase 1 visits only due sources and the
+//     empty-network horizon is read off the heap's top two entries;
 //   - idle-cycle skip: run() jumps the cycle counter over windows in
 //     which the network is empty and no injection is eligible;
 //   - wormhole fast-forward: when the network is empty and exactly one
@@ -37,7 +43,8 @@
 //     could contend.
 //
 // step_reference() / run_reference() keep the naive full-scan schedule
-// compiled in as a cross-check mode: tests assert the fast path yields
+// (every router, every pending source, every cycle) compiled in as a
+// cross-check mode: tests assert the fast path yields
 // byte-identical delivered_cycle, link/injected/ejected flit counters,
 // and final cycle on every configuration (tests/flit_test.cpp).
 //
@@ -56,7 +63,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -254,6 +260,7 @@ class FlitNetwork {
   // reference (all routers) vs active-set router walk.
   bool step_impl(bool full_scan);
   void phase1_inject(bool& moved);
+  void phase1_inject_reference(bool& moved);
   void phase2_router(NodeId n, bool& moved);
   void phase3_apply();
 
@@ -285,6 +292,40 @@ class FlitNetwork {
 
   [[noreturn]] void throw_max_cycles(std::uint64_t max_cycles) const;
 
+  // Per-source pending messages: an intrusive FIFO over next_msg_ plus
+  // the number of flits of the front message already injected.
+  struct InjectState {
+    std::int32_t head = -1;  // front message index, -1 when empty
+    std::int32_t tail = -1;
+    std::int64_t flits_sent = 0;
+  };
+  // Drop the front message of `st` (touches only `st`, so parallel
+  // shards may call it on their own sources).
+  void pop_pending(InjectState& st) const {
+    st.head = next_msg_[static_cast<std::size_t>(st.head)];
+    if (st.head < 0) st.tail = -1;
+  }
+  // Stage the next flit of source n's front message; returns true when
+  // that flit was the tail and the message left the queue.
+  bool inject_flit(NodeId n, InjectState& st);
+
+  // Injection calendar (docs/MODEL.md §10): every source with pending
+  // messages is either in ready_ (front due) or in cal_, a min-heap of
+  // (front inject cycle, source). Valid only under the fast schedule;
+  // step_reference() and parallel bursts move fronts without it, so
+  // they drop it and it is rebuilt from the queues.
+  struct CalEntry {
+    std::uint64_t cycle;
+    NodeId node;
+  };
+  struct CalLater {
+    bool operator()(const CalEntry& a, const CalEntry& b) const {
+      return a.cycle != b.cycle ? a.cycle > b.cycle : a.node > b.node;
+    }
+  };
+  void cal_push(NodeId n);
+  void rebuild_calendar();
+
   std::int64_t flits_of(std::int32_t msg) const;
 
   Mesh2D mesh_;
@@ -304,19 +345,20 @@ class FlitNetwork {
   std::vector<std::int16_t> cx_, cy_;      // n coordinates
   // Bitmaps, one bit per router, kept exact at cycle boundaries:
   // active_: router holds >= 1 visible flit; inject_mask_: source has a
-  // non-empty pending-message queue.
+  // non-empty pending-message queue; ready_: source is in the calendar's
+  // due set.
   std::vector<std::uint64_t> active_;
   std::vector<std::uint64_t> inject_mask_;
+  std::vector<std::uint64_t> ready_;
+  std::int32_t ready_count_ = 0;
+  std::vector<CalEntry> cal_;  // reserved to n_: one entry per source
+  bool cal_valid_ = true;
 
+  // Message table and, beside it, each message's successor in its
+  // source's queue (-1 at the tail). Cold path: only inject() grows them.
   std::vector<FlitMessage> messages_;
-  // Per-source queue of (message index) not yet fully injected and the
-  // number of flits of the current message already injected. Cold path:
-  // only inject() grows it.
-  struct InjectState {
-    std::deque<std::int32_t> pending;
-    std::int64_t flits_sent = 0;
-  };
-  std::vector<InjectState> inject_;
+  std::vector<std::int32_t> next_msg_;
+  std::vector<InjectState> inject_;  // n: per-source pending queue
 
   std::uint64_t cycle_ = 0;
   std::int64_t in_flight_flits_ = 0;

@@ -198,7 +198,7 @@ struct FlitNetwork::ParCtx {
                                                     std::countr_zero(w));
         w &= w - 1;
         auto& st = net->inject_[static_cast<std::size_t>(n)];
-        const std::int32_t m = st.pending.front();
+        const std::int32_t m = st.head;
         if (net->messages_[static_cast<std::size_t>(m)].inject_cycle >
             static_cast<std::uint64_t>(c))
           continue;
@@ -213,9 +213,9 @@ struct FlitNetwork::ParCtx {
         ++s.in_flight_delta;
         ++s.injected;
         if (++st.flits_sent == total) {
-          st.pending.pop_front();
+          net->pop_pending(st);
           st.flits_sent = 0;
-          if (st.pending.empty()) clear_local(s.inject, n - s.lo);
+          if (st.head < 0) clear_local(s.inject, n - s.lo);
         }
       }
     }
@@ -392,6 +392,7 @@ struct FlitNetwork::ParCtx {
   }
 
   void run_burst(std::int64_t burst_limit) {
+    net->cal_valid_ = false;  // shards move fronts without the calendar
     begin = static_cast<std::int64_t>(net->cycle_);
     limit = burst_limit;
     for (Shard& s : shards) {
@@ -400,7 +401,7 @@ struct FlitNetwork::ParCtx {
       for (NodeId n = s.lo; n < s.hi; ++n) {
         if (net->router_flits_[static_cast<std::size_t>(n)] > 0)
           set_local(s.active, n - s.lo);
-        if (!net->inject_[static_cast<std::size_t>(n)].pending.empty())
+        if (net->inject_[static_cast<std::size_t>(n)].head >= 0)
           set_local(s.inject, n - s.lo);
       }
       s.staged.clear();
@@ -455,9 +456,10 @@ struct FlitNetwork::ParCtx {
     for (NodeId n = 0; n < net->n_; ++n) {
       if (net->router_flits_[static_cast<std::size_t>(n)] > 0)
         net->set_bit(net->active_, n);
-      if (!net->inject_[static_cast<std::size_t>(n)].pending.empty())
+      if (net->inject_[static_cast<std::size_t>(n)].head >= 0)
         net->set_bit(net->inject_mask_, n);
     }
+    net->rebuild_calendar();
   }
 };
 

@@ -328,6 +328,118 @@ TEST(FlitParallel, ShardCountersEngageAndDump) {
 
 // ------------------------------------------- scheduling counters ----
 
+// ------------------------------------------- injection calendar --
+
+// Every delivered cycle, traffic counter and the final cycle agree.
+void expect_same_results(const FlitNetwork& a, const FlitNetwork& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.messages().size(), b.messages().size()) << what;
+  for (std::size_t i = 0; i < a.messages().size(); ++i) {
+    ASSERT_TRUE(a.messages()[i].delivered) << what << " msg " << i;
+    ASSERT_TRUE(b.messages()[i].delivered) << what << " msg " << i;
+    ASSERT_EQ(a.messages()[i].delivered_cycle, b.messages()[i].delivered_cycle)
+        << what << " msg " << i;
+  }
+  EXPECT_EQ(a.link_flits(), b.link_flits()) << what;
+  EXPECT_EQ(a.injected_flits(), b.injected_flits()) << what;
+  EXPECT_EQ(a.ejected_flits(), b.ejected_flits()) << what;
+  EXPECT_EQ(a.cycle(), b.cycle()) << what;
+}
+
+// Deep per-source queues whose inject cycles are not in insertion order,
+// with bursts of sources tied on one cycle and idle stretches between.
+std::vector<Injection> calendar_workload(const Mesh2D& m, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Injection> out;
+  const NodeId n = m.node_count();
+  for (int round = 0; round < 24; ++round) {
+    for (NodeId s = 0; s < n; ++s) {
+      auto d = static_cast<NodeId>(rng.below(n));
+      if (d == s) d = (d + 1) % n;
+      // A third of the messages share one cycle per round (ties across
+      // sources); the rest land anywhere in a wide window, so a source's
+      // later messages are often due before its earlier ones.
+      const std::uint64_t at =
+          rng.below(3) == 0 ? 5000 * static_cast<std::uint64_t>(round)
+                            : rng.below(120000);
+      out.push_back({s, d, 16 + rng.below(240), at});
+    }
+  }
+  return out;
+}
+
+TEST(FlitCalendar, DeepUnorderedQueuesAndTiesMatchReference) {
+  for (const RouteAlgo algo : {RouteAlgo::XY, RouteAlgo::WestFirst}) {
+    const Mesh2D mesh(8, 8);
+    FlitParams fp;
+    fp.routing = algo;
+    const auto w = calendar_workload(mesh, 7);
+    ASSERT_GE(w.size(), 20u * 64u);
+    const std::string what = std::string("calendar ") + route_algo_name(algo);
+    expect_equivalent(mesh, fp, w, what);
+    expect_parallel_equivalent(mesh, fp, w, 2, 0, what + " t2");
+  }
+}
+
+// A lone worm from 0 to 15 on a 4x4 mesh (6 hops, 10 flits) injected at
+// cycle 100 drains at 100 + 6 + 10 + 1 = 117. A second message due at
+// 117 cannot contend, so both worms fast-forward; one due at 116 can,
+// so the first worm is stepped.
+TEST(FlitCalendar, SecondMessageAtLoneWormDrainBoundary) {
+  const Mesh2D mesh(4, 4);
+  constexpr std::uint64_t kDrain = 117;
+  for (const bool same_source : {true, false}) {
+    for (const std::uint64_t second : {kDrain, kDrain - 1}) {
+      const std::vector<Injection> w = {
+          {0, 15, 160, 100}, {same_source ? 0 : 5, 10, 160, second}};
+      const std::string what =
+          std::string(same_source ? "same source" : "other source") +
+          " second at " + std::to_string(second);
+      FlitNetwork fast(mesh, FlitParams{});
+      FlitNetwork ref(mesh, FlitParams{});
+      fill(fast, w);
+      fill(ref, w);
+      fast.run();
+      ref.run_reference();
+      expect_same_results(fast, ref, what);
+      EXPECT_EQ(fast.fastforwarded_messages(), second == kDrain ? 2u : 0u)
+          << what;
+    }
+  }
+}
+
+// inject() into a finished network, at cycles both before and after
+// cycle(), then run() again; also a switch from step_reference() to
+// run() part-way through.
+TEST(FlitCalendar, InjectAfterRunAndScheduleSwitch) {
+  const Mesh2D mesh(8, 8);
+  const auto first = random_workload(mesh, 11, 300, 40);
+  for (const int threads : {1, 2}) {
+    FlitNetwork fast(mesh, FlitParams{});
+    FlitNetwork ref(mesh, FlitParams{});
+    fast.set_threads(threads);
+    fill(fast, first);
+    fill(ref, first);
+    fast.run();
+    ref.run_reference();
+    const std::uint64_t end = fast.cycle();
+    ASSERT_EQ(end, ref.cycle());
+    const std::vector<Injection> late = {
+        {3, 60, 200, end / 2},   {3, 7, 48, end + 40},
+        {9, 54, 300, 0},         {20, 21, 64, end + 40},
+        {41, 2, 500, end + 900}, {41, 40, 32, end - 1},
+        {63, 0, 256, end + 5000}};
+    fill(fast, late);
+    fill(ref, late);
+    // Half-way switch: reference cycles move the fronts without the
+    // calendar, which run() must rebuild from the queues.
+    for (int c = 0; c < 30; ++c) fast.step_reference();
+    fast.run();
+    ref.run_reference();
+    expect_same_results(fast, ref, "threads " + std::to_string(threads));
+  }
+}
+
 TEST(FlitFastPath, SparseTrafficEngagesSkipAndFastForward) {
   const Mesh2D mesh(8, 8);
   FlitNetwork net(mesh, FlitParams{});
