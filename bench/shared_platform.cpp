@@ -66,28 +66,39 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const mesh::Mesh2D mesh(static_cast<std::int32_t>(args.integer("width")),
-                          static_cast<std::int32_t>(args.integer("height")));
+  // Range checks before any work. The mesh is capped at 256 x 256
+  // (65,536 nodes, 124x the Delta): the crash count grows with the node
+  // count and every crash and scheduling pass scans the job table and
+  // the mesh, so the default month already takes ~5 s at that size
+  // (--jobs 1, 4-core Xeon, RelWithDebInfo).
+  const std::int64_t width = args.integer("width", 1, 256);
+  const std::int64_t height = args.integer("height", 1, 256);
+  const std::int64_t njobs = args.integer("njobs", 1, 2147483647);
+  const double days = args.real_above("days", 0.0);
+  const double mtbf_days = args.real_at_least("node-mtbf-days", 0.0);
+  const std::int64_t io_disks = args.integer("io-disks", 1, 2147483647);
+  const mesh::Mesh2D mesh(static_cast<std::int32_t>(width),
+                          static_cast<std::int32_t>(height));
 
   PlatformWorkloadConfig wc;
   wc.seed = static_cast<std::uint64_t>(args.integer("seed"));
-  wc.jobs = static_cast<std::int32_t>(args.integer("njobs"));
-  wc.days = args.real("days");
+  wc.jobs = static_cast<std::int32_t>(njobs);
+  wc.days = days;
   const std::vector<PlatformJob> trace = platform_workload(wc, mesh);
 
   PlatformConfig base;
-  base.node_mtbf = sim::Time::sec(args.real("node-mtbf-days") * 86400.0);
+  base.node_mtbf = sim::Time::sec(mtbf_days * 86400.0);
   base.failure_seed = static_cast<std::uint64_t>(args.integer("failure-seed"));
-  base.io_disks = static_cast<std::int32_t>(args.integer("io-disks"));
+  base.io_disks = static_cast<std::int32_t>(io_disks);
 
   // Constructed before the sweep: wall_time_s runs construction->write.
   obs::BenchMetrics bm("shared_platform");
-  bm.config("width", args.integer("width"));
-  bm.config("height", args.integer("height"));
-  bm.config("njobs", args.integer("njobs"));
+  bm.config("width", width);
+  bm.config("height", height);
+  bm.config("njobs", njobs);
   bm.config("days", args.str("days"));
   bm.config("node_mtbf_days", args.str("node-mtbf-days"));
-  bm.config("io_disks", args.integer("io-disks"));
+  bm.config("io_disks", io_disks);
   bm.config("seed", args.integer("seed"));
   bm.config("failure_seed", args.integer("failure-seed"));
   bm.set_threads(args.jobs());
@@ -112,7 +123,7 @@ int main(int argc, char** argv) {
   std::printf("== A13: %d jobs over ~%.0f days on %dx%d, node MTBF %.0f "
               "days, CFS %.1f MB/s ==\n",
               wc.jobs, wc.days, mesh.width(), mesh.height(),
-              args.real("node-mtbf-days"),
+              mtbf_days,
               io::effective_cfs_bandwidth(io::CfsConfig{}, base.io_disks)
                       .bytes_per_sec() /
                   1e6);

@@ -8,6 +8,8 @@
 // debug jobs) under FCFS and EASY-backfill, reporting the metrics a
 // testbed operator lived by.
 #include <cstdio>
+#include <limits>
+#include <vector>
 
 #include "obs/counters.hpp"
 #include "obs/metrics.hpp"
@@ -35,7 +37,10 @@ int main(int argc, char** argv) {
   }
 
   const mesh::Mesh2D delta(33, 16);
-  const auto njobs = static_cast<std::int32_t>(args.integer("jobs"));
+  const auto njobs =
+      static_cast<std::int32_t>(args.integer("jobs", 1, 2147483647));
+  const std::vector<std::int64_t> seeds =
+      args.int_list("seeds", 0, std::numeric_limits<std::int64_t>::max());
   std::printf("== A6: %d-job consortium day on the %s ==\n", njobs,
               delta.describe().c_str());
 
@@ -50,7 +55,7 @@ int main(int argc, char** argv) {
            "p-max wait (min)", "backfilled", "mean frag"});
   for (const auto policy :
        {SchedulePolicy::FCFS, SchedulePolicy::EasyBackfill}) {
-    for (const std::int64_t seed : args.int_list("seeds")) {
+    for (const std::int64_t seed : seeds) {
       BatchSimulator sim(delta, policy);
       for (auto& j : consortium_workload(njobs, delta.node_count(),
                                          static_cast<std::uint64_t>(seed)))

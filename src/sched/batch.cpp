@@ -82,49 +82,22 @@ void BatchSimulator::on_failure(sim::Engine& engine, std::int32_t node) {
     j.started = false;
     j.pid = -1;
     ++requeued_;
-    queue_.push_front(i);
+    queue_.jobs.push_front(i);
     schedule_pass(engine);
     return;
   }
 }
 
 void BatchSimulator::schedule_pass(sim::Engine& engine) {
-  // Start queue-head jobs while they fit.
-  while (!queue_.empty() && try_start(engine, queue_.front()))
-    queue_.pop_front();
-
-  if (!queue_.empty() && policy_ == SchedulePolicy::EasyBackfill) {
-    // EASY: give the blocked head a reservation, then let later jobs
-    // jump ahead only if they finish (by their own estimate) before the
-    // head's reserved start. The reservation is computed on node counts;
-    // the actual start still requires a free rectangle (documented
-    // approximation for a mesh-partitioned machine).
-    const Job& head = jobs_[queue_.front()];
-    std::vector<std::pair<sim::Time, std::int32_t>> running;  // finish,nodes
-    for (const Job& j : jobs_)
-      if (j.started && !j.done)
-        running.emplace_back(j.start + j.estimate, j.nodes);
-    std::sort(running.begin(), running.end());
-    std::int32_t free_nodes = alloc_.nodes_total() - alloc_.nodes_busy();
-    sim::Time shadow = engine.now();
-    for (const auto& [finish, nodes] : running) {
-      if (free_nodes >= head.nodes) break;
-      free_nodes += nodes;
-      shadow = finish;
-    }
-    // Scan the rest of the queue in order for backfill candidates.
-    for (auto it = std::next(queue_.begin()); it != queue_.end();) {
-      const Job& cand = jobs_[*it];
-      if (engine.now() + cand.estimate <= shadow &&
-          try_start(engine, *it)) {
-        ++backfilled_;
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  frag_.add(alloc_.fragmentation());
+  const auto view = [this](std::size_t i) {
+    const Job& j = jobs_[i];
+    return PassJob{j.started && !j.done, j.start, j.estimate, j.nodes};
+  };
+  const auto start = [this, &engine](std::size_t i) {
+    return try_start(engine, i);
+  };
+  queue_.schedule_pass(policy_, engine.now(), alloc_, jobs_.size(), view,
+                       start);
 }
 
 BatchResult BatchSimulator::run() {
@@ -137,7 +110,7 @@ BatchResult BatchSimulator::run() {
   });
   for (const std::size_t i : order) {
     engine.schedule_call(jobs_[i].submit, [this, &engine, i] {
-      queue_.push_back(i);
+      queue_.jobs.push_back(i);
       schedule_pass(engine);
     });
   }
@@ -149,10 +122,10 @@ BatchResult BatchSimulator::run() {
   engine.run();
 
   BatchResult res;
-  res.backfilled = backfilled_;
+  res.backfilled = queue_.backfilled;
   res.requeued = requeued_;
   res.lost_node_seconds = lost_node_seconds_;
-  res.frag_samples = frag_;
+  res.frag_samples = queue_.frag;
   sim::Time makespan = sim::Time::zero();
   for (const Job& j : jobs_) {
     HPCCSIM_ENSURES(j.done);

@@ -7,13 +7,18 @@
 // backfill, run for their duration, and free their partitions.
 //
 // The simulation runs on the discrete-event engine with plain callbacks
-// (no coroutines needed — there is no intra-job behaviour here).
+// (no coroutines needed — there is no intra-job behaviour here). The
+// FCFS/EASY pass itself, WaitQueue::schedule_pass, is shared with the
+// shared-platform simulator (sched/platform.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -61,6 +66,69 @@ enum class SchedulePolicy {
 
 const char* policy_name(SchedulePolicy p);
 
+/// A job as the scheduling pass sees it.
+struct PassJob {
+  bool running = false;  ///< holds a partition right now
+  sim::Time start;       ///< dispatch time (running jobs)
+  sim::Time estimate;    ///< user runtime estimate
+  std::int32_t nodes = 0;
+};
+
+/// The wait queue of a space-shared machine, with the one FCFS/EASY
+/// scheduling pass that both BatchSimulator and PlatformSimulator run.
+struct WaitQueue {
+  std::deque<std::size_t> jobs;  ///< indices of waiting jobs, FCFS order
+  std::int64_t backfilled = 0;   ///< jobs started out of queue order
+  RunningStat frag;              ///< fragmentation after each pass
+
+  /// Start queue-head jobs while `try_start(i)` succeeds (it allocates
+  /// job i a partition and returns false if none fits). Under EASY
+  /// backfill, then give the blocked head a reservation and let later
+  /// jobs jump ahead only if they finish, by their own estimate, before
+  /// the head's reserved start. The reservation is computed on node
+  /// counts; the actual start still requires a free rectangle (a
+  /// documented approximation for a mesh-partitioned machine).
+  /// `view(i)` describes job i for i < job_count.
+  template <class View, class TryStart>
+  void schedule_pass(SchedulePolicy policy, sim::Time now,
+                     const PartitionAllocator& alloc, std::size_t job_count,
+                     View view, TryStart try_start) {
+    while (!jobs.empty() && try_start(jobs.front())) jobs.pop_front();
+
+    if (!jobs.empty() && policy == SchedulePolicy::EasyBackfill) {
+      const std::int32_t head_nodes = view(jobs.front()).nodes;
+      std::vector<std::pair<sim::Time, std::int32_t>> running;  // finish,nodes
+      for (std::size_t i = 0; i < job_count; ++i) {
+        const PassJob j = view(i);
+        if (j.running) running.emplace_back(j.start + j.estimate, j.nodes);
+      }
+      std::sort(running.begin(), running.end());
+      std::int32_t free_nodes = alloc.nodes_total() - alloc.nodes_busy();
+      sim::Time shadow = now;
+      for (const auto& [finish, nodes] : running) {
+        if (free_nodes >= head_nodes) break;
+        free_nodes += nodes;
+        // Platform estimates exclude checkpoint overhead, so a job can
+        // run past its estimated finish: an overdue reservation
+        // collapses to "could free any moment now". For batch jobs the
+        // max is a no-op: a running job ends at start + runtime <=
+        // start + estimate and has not ended yet, so finish >= now.
+        shadow = std::max(shadow, finish);
+      }
+      // Scan the rest of the queue in order for backfill candidates.
+      for (auto it = std::next(jobs.begin()); it != jobs.end();) {
+        if (now + view(*it).estimate <= shadow && try_start(*it)) {
+          ++backfilled;
+          it = jobs.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    frag.add(alloc.fragmentation());
+  }
+};
+
 struct BatchResult {
   sim::Time makespan;
   double utilization = 0.0;      ///< busy node-seconds / (nodes * makespan)
@@ -95,13 +163,11 @@ class BatchSimulator {
   SchedulePolicy policy_;
   PartitionAllocator alloc_;
   std::vector<Job> jobs_;
-  std::deque<std::size_t> queue_;  // indices of waiting jobs, FCFS order
+  WaitQueue queue_;
   std::vector<NodeFailure> failures_;
   double busy_node_seconds_ = 0.0;
   double lost_node_seconds_ = 0.0;
-  std::int64_t backfilled_ = 0;
   std::int64_t requeued_ = 0;
-  RunningStat frag_;
 };
 
 /// Set the "sched.*" counters (jobs backfilled/requeued, utilization,

@@ -282,39 +282,14 @@ void PlatformSimulator::remove_request(std::size_t idx) {
 }
 
 void PlatformSimulator::schedule_pass() {
-  // Start queue-head jobs while they fit.
-  while (!queue_.empty() && try_start(queue_.front())) queue_.pop_front();
-
-  if (!queue_.empty() && cfg_.policy == SchedulePolicy::EasyBackfill) {
-    // EASY semantics as in sched/batch.cpp: reserve for the blocked
-    // head on node counts, backfill later jobs that fit under the
-    // shadow time. Estimates don't include checkpoint overhead, so a
-    // job can run past its estimated finish; an overdue reservation
-    // collapses to "could free any moment now".
-    const JobState& head = jobs_[queue_.front()];
-    std::vector<std::pair<sim::Time, std::int32_t>> running;
-    for (const JobState& j : jobs_)
-      if (j.phase != Phase::Queued && j.phase != Phase::Done)
-        running.emplace_back(j.start + j.spec.estimate, j.spec.nodes());
-    std::sort(running.begin(), running.end());
-    std::int32_t free_nodes = alloc_.nodes_total() - alloc_.nodes_busy();
-    sim::Time shadow = engine_.now();
-    for (const auto& [finish, nodes] : running) {
-      if (free_nodes >= head.spec.nodes()) break;
-      free_nodes += nodes;
-      shadow = std::max(shadow, finish);
-    }
-    for (auto it = std::next(queue_.begin()); it != queue_.end();) {
-      const JobState& cand = jobs_[*it];
-      if (engine_.now() + cand.spec.estimate <= shadow && try_start(*it)) {
-        ++res_.backfilled;
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  res_.frag_samples.add(alloc_.fragmentation());
+  const auto view = [this](std::size_t i) {
+    const JobState& j = jobs_[i];
+    const bool running = j.phase != Phase::Queued && j.phase != Phase::Done;
+    return PassJob{running, j.start, j.spec.estimate, j.spec.nodes()};
+  };
+  const auto start = [this](std::size_t i) { return try_start(i); };
+  queue_.schedule_pass(cfg_.policy, engine_.now(), alloc_, jobs_.size(), view,
+                       start);
 }
 
 PlatformResult PlatformSimulator::run() {
@@ -330,7 +305,7 @@ PlatformResult PlatformSimulator::run() {
   });
   for (const std::size_t i : order) {
     engine_.schedule_call(jobs_[i].spec.submit, [this, i] {
-      queue_.push_back(i);
+      queue_.jobs.push_back(i);
       schedule_pass();
     });
   }
@@ -357,6 +332,8 @@ PlatformResult PlatformSimulator::run() {
     makespan = std::max(makespan, j.finish);
   }
   res_.makespan = makespan;
+  res_.backfilled = queue_.backfilled;
+  res_.frag_samples = queue_.frag;
   res_.utilization =
       makespan == sim::Time::zero()
           ? 0.0

@@ -13,10 +13,11 @@
 //   queued -> running { computing | waiting-io | writing | restoring }
 //          -> done.
 // Jobs space-share the mesh through the rectangle allocator with FCFS
-// or EASY backfill (sched/batch.hpp semantics). Each job checkpoints
-// every Daly interval of its own footprint/MTBF; node crashes (a pure
-// fault trace from src/fault) roll the victim back to its last
-// committed checkpoint. Checkpoint and restore traffic is costed
+// or EASY backfill: the same WaitQueue::schedule_pass as the batch
+// simulator (sched/batch.hpp), over this module's job state. Each job
+// checkpoints every Daly interval of its own footprint/MTBF; node
+// crashes (a pure fault trace from src/fault) roll the victim back to
+// its last committed checkpoint. Checkpoint and restore traffic is costed
 // through io::SharedBandwidth, where the strategies differ:
 //
 //   Uncoordinated  — the Young/Daly baseline: a due checkpoint starts
@@ -39,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -172,7 +172,7 @@ class PlatformSimulator {
            static_cast<Bytes>(j.spec.nodes());
   }
 
-  // -- scheduling (batch.hpp semantics over the platform job state) --
+  // -- scheduling (WaitQueue::schedule_pass over the platform job state) --
   void schedule_pass();
   bool try_start(std::size_t idx);
   void begin_segment(std::size_t idx);
@@ -197,7 +197,7 @@ class PlatformSimulator {
   PartitionAllocator alloc_;
   io::SharedBandwidth io_;
   std::vector<JobState> jobs_;
-  std::deque<std::size_t> queue_;     ///< waiting jobs, FCFS order
+  WaitQueue queue_;
   std::vector<std::size_t> pending_;  ///< checkpoint requests (coop)
   bool writer_busy_ = false;          ///< cooperative exclusive slot
   bool ran_ = false;

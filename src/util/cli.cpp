@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -120,6 +121,16 @@ T parse_or_exit(const std::string& program, const std::string& name,
   reject(program, name, tok, what);
 }
 
+// Rejects `v` (parsed from `tok`) unless it lies in [lo, hi].
+void check_range(const std::string& program, const std::string& name,
+                 const std::string& tok, std::int64_t v, std::int64_t lo,
+                 std::int64_t hi) {
+  if (v >= lo && v <= hi) return;
+  const std::string what = "an integer in [" + std::to_string(lo) + ", " +
+                           std::to_string(hi) + "]";
+  reject(program, name, tok, what.c_str());
+}
+
 }  // namespace
 
 std::int64_t ArgParser::integer(const std::string& name) const {
@@ -134,11 +145,7 @@ double ArgParser::real(const std::string& name) const {
 std::int64_t ArgParser::integer(const std::string& name, std::int64_t lo,
                                std::int64_t hi) const {
   const std::int64_t v = integer(name);
-  if (v < lo || v > hi) {
-    const std::string what = "an integer in [" + std::to_string(lo) + ", " +
-                             std::to_string(hi) + "]";
-    reject(program_, name, get(name).value, what.c_str());
-  }
+  check_range(program_, name, get(name).value, v, lo, hi);
   return v;
 }
 
@@ -164,13 +171,21 @@ double ArgParser::real_above(const std::string& name, double lo) const {
 }
 
 std::vector<std::int64_t> ArgParser::int_list(const std::string& name) const {
+  return int_list(name, std::numeric_limits<std::int64_t>::min(),
+                  std::numeric_limits<std::int64_t>::max());
+}
+
+std::vector<std::int64_t> ArgParser::int_list(const std::string& name,
+                                              std::int64_t lo,
+                                              std::int64_t hi) const {
   std::vector<std::int64_t> out;
   std::stringstream ss(get(name).value);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    if (!tok.empty())
-      out.push_back(
-          parse_or_exit<std::int64_t>(program_, name, tok, "an integer"));
+    if (tok.empty()) continue;
+    out.push_back(
+        parse_or_exit<std::int64_t>(program_, name, tok, "an integer"));
+    check_range(program_, name, tok, out.back(), lo, hi);
   }
   return out;
 }

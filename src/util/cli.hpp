@@ -63,6 +63,10 @@ class ArgParser {
 
   /// Comma-separated list of integers ("1000,2000,4000").
   std::vector<std::int64_t> int_list(const std::string& name) const;
+  /// Range-checked list: an element outside [lo, hi] is rejected with
+  /// the same message as integer(name, lo, hi), quoting that element.
+  std::vector<std::int64_t> int_list(const std::string& name, std::int64_t lo,
+                                     std::int64_t hi) const;
 
   std::string usage() const;
 

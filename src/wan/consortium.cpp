@@ -80,4 +80,17 @@ Wan consortium_network() {
   return w;
 }
 
+Wan nren_upgraded_network() {
+  const Wan base = consortium_network();
+  Wan up;
+  for (const auto& name : consortium_sites()) up.add_site(name);
+  for (const auto& l : base.links()) {
+    LinkType t = l.type;
+    if (t == LinkType::Regional56k || t == LinkType::T1) t = LinkType::T3;
+    else if (t == LinkType::T3) t = LinkType::HippiSonet;
+    up.add_link(l.a, l.b, t, l.propagation);
+  }
+  return up;
+}
+
 }  // namespace hpccsim::wan

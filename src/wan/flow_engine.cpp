@@ -215,7 +215,7 @@ void FlowEngine::recompute() {
   for (;;) {
     ++stats_.recomputes;
     // Pinned tie-break: bottleneck candidates are examined in ascending
-    // link index order, exactly like FlowSimulator::fair_rates.
+    // link index order, exactly like the test oracle's fair_rates.
     std::sort(mlinks_.begin(), mlinks_.end());
 
     // Residual capacity per member link with the affected flows' own

@@ -1,9 +1,11 @@
-// Incremental event-driven fluid flow engine.
+// Incremental event-driven fluid flow engine: the library's one
+// max-min solver, behind wan::simulate_flows (wan/model.hpp) and the
+// grid federation (src/grid).
 //
-// The prototype fluid model (FlowSimulator::run_reference) recomputes
-// *every* flow's max-min rate at *every* arrival/completion — O(F·L)
-// per event, quadratic overall, unusable past ~10k concurrent flows.
-// This engine is the scalable rebuild behind the same fluid semantics:
+// The reference fluid loop (tests/oracles/fluid_reference.hpp)
+// recomputes *every* flow's max-min rate at *every* arrival/completion
+// — O(F·L) per event, quadratic overall, unusable past ~10k concurrent
+// flows. This engine keeps the same fluid semantics event-driven:
 //
 //  - **One completion entry per flow.** Pending completions live in
 //    a small indexed binary heap over the active flows, keyed
@@ -26,12 +28,12 @@
 //    recycled through a free list; per-slot vectors keep their
 //    capacity, so steady state allocates nothing.
 //
-// Rates follow the same progressive water-filling as
-// FlowSimulator::fair_rates, with the same pinned tie-break (ascending
-// link index; see docs/MODEL.md §12), restricted to the affected set
-// against residual capacities. tests/wan_test.cpp and tests/grid_test.cpp
-// cross-check the engine against the retained full-recompute reference
-// on randomized scenarios, the latter with 150+ concurrent flows.
+// Rates follow the same progressive water-filling as the test oracle's
+// fair_rates, with the same pinned tie-break (ascending link index; see
+// docs/MODEL.md §12), restricted to the affected set against residual
+// capacities. tests/wan_test.cpp and tests/grid_test.cpp cross-check
+// the engine against the full-recompute reference in tests/oracles/ on
+// randomized scenarios, the latter with 150+ concurrent flows.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,8 @@
 #include "wan/model.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
-#include "obs/counters.hpp"
 #include "util/assert.hpp"
 #include "wan/flow_engine.hpp"
 
@@ -45,64 +43,8 @@ const RouteTable::Route* RouteTable::route(SiteId src, SiteId dst) {
   return state_[idx] == State::Routed ? routes_[idx].get() : nullptr;
 }
 
-void WanModel::export_counters(obs::Registry& reg) const {
-  reg.counter("wan.transfers").set(stats_.transfers);
-  reg.counter("wan.failed").set(stats_.failed);
-  reg.counter("wan.bytes").set(static_cast<std::int64_t>(stats_.bytes));
-}
-
-std::optional<sim::Time> PacketWanModel::idle_transfer(SiteId src, SiteId dst,
-                                                       Bytes bytes) {
-  HPCCSIM_EXPECTS(bytes > 0);
-  const RouteTable::Route* r = routes_.route(src, dst);
-  if (r == nullptr) return std::nullopt;
-  // Same store-and-forward pipelining as Wan::transfer, over the cached
-  // route: first packet pays every hop's serialization + propagation,
-  // the rest of the stream drains at the bottleneck rate.
-  const std::uint64_t packets = (bytes + packet_bytes_ - 1) / packet_bytes_;
-  double first_packet_s = 0.0;
-  sim::Time prop_total = sim::Time::zero();
-  for (const std::int32_t l : r->links) {
-    const Link& link = routes_.wan().links()[static_cast<std::size_t>(l)];
-    first_packet_s += static_cast<double>(packet_bytes_) /
-                      link_bandwidth(link.type).bytes_per_sec();
-    prop_total += link.propagation;
-  }
-  const double rest_s = static_cast<double>(packets - 1) *
-                        static_cast<double>(packet_bytes_) /
-                        r->bottleneck_bps;
-  return sim::Time::sec(first_packet_s + rest_s) + prop_total;
-}
-
-std::vector<TransferOutcome> PacketWanModel::simulate(
-    const std::vector<TransferRequest>& requests) {
-  std::vector<TransferOutcome> out(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const TransferRequest& q = requests[i];
-    const auto dur = idle_transfer(q.src, q.dst, q.bytes);
-    if (!dur) {
-      ++stats_.failed;
-      continue;
-    }
-    out[i].ok = true;
-    out[i].finish = q.start + *dur;
-    out[i].slowdown = 1.0;  // packet transfers are timed in isolation
-    ++stats_.transfers;
-    stats_.bytes += q.bytes;
-  }
-  return out;
-}
-
-std::optional<sim::Time> FluidWanModel::idle_transfer(SiteId src, SiteId dst,
-                                                      Bytes bytes) {
-  HPCCSIM_EXPECTS(bytes > 0);
-  const RouteTable::Route* r = routes_.route(src, dst);
-  if (r == nullptr) return std::nullopt;
-  return sim::Time::sec(static_cast<double>(bytes) / r->bottleneck_bps);
-}
-
-std::vector<TransferOutcome> FluidWanModel::simulate(
-    const std::vector<TransferRequest>& requests) {
+std::vector<TransferOutcome> simulate_flows(
+    RouteTable& routes, const std::vector<TransferRequest>& requests) {
   std::vector<TransferOutcome> out(requests.size());
 
   // Feed the engine in (start, index) order; it delivers completions as
@@ -115,22 +57,17 @@ std::vector<TransferOutcome> FluidWanModel::simulate(
                      return requests[a].start < requests[b].start;
                    });
 
-  FlowEngine engine(routes_);
+  FlowEngine engine(routes);
   const auto on_complete = [&](const FlowEngine::Completion& c) {
     TransferOutcome& o = out[c.tag];
     o.ok = true;
     o.finish = c.finish;
     const double idle_s = static_cast<double>(c.bytes) / c.bottleneck_bps;
     o.slowdown = (c.finish - c.start).as_sec() / idle_s;
-    ++stats_.transfers;
-    stats_.bytes += c.bytes;
   };
   for (const std::size_t i : order) {
     const TransferRequest& q = requests[i];
-    if (routes_.route(q.src, q.dst) == nullptr) {
-      ++stats_.failed;
-      continue;
-    }
+    if (routes.route(q.src, q.dst) == nullptr) continue;
     engine.run_until(q.start, on_complete);
     engine.start(q.src, q.dst, q.bytes, i);
   }

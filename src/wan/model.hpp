@@ -1,25 +1,21 @@
-// WanModel: the common interface behind the two WAN transfer backends.
+// The fluid WAN model's shared substrate: widest-path route caching and
+// batch transfer simulation on the max-min FlowEngine.
 //
-// The store-and-forward packet model (`Wan::transfer`) and the fluid
-// flow-level model (src/wan/flow_engine.hpp) answer the same question —
-// how long does a transfer take? — at different fidelity/scale points.
-// This interface lets scenario code (bench/grid) pick a backend while
-// sharing the topology (`Wan`), the routing (`RouteTable`, a widest-path
-// route cache), and the transfer accounting (`WanModelStats`).
+// `Wan::transfer` prices one transfer on an idle network with the
+// store-and-forward packet model; `simulate_flows` answers the
+// follow-on question — what happens when transfers overlap — by
+// running the whole batch as concurrent flows on the incremental
+// FlowEngine (src/wan/flow_engine.hpp), the only max-min solver in
+// the library.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/time.hpp"
 #include "util/units.hpp"
 #include "wan/wan.hpp"
-
-namespace hpccsim::obs {
-class Registry;
-}
 
 namespace hpccsim::wan {
 
@@ -64,68 +60,12 @@ struct TransferOutcome {
   double slowdown = 0.0; ///< duration / idle-network duration (>= 1)
 };
 
-/// Cumulative accounting shared by every backend; exported to the obs
-/// registry under `wan.*` by export_counters().
-struct WanModelStats {
-  std::int64_t transfers = 0;
-  std::int64_t failed = 0;  ///< disconnected endpoint requests
-  Bytes bytes = 0;
-};
-
-class WanModel {
- public:
-  explicit WanModel(const Wan& wan) : routes_(wan) {}
-  virtual ~WanModel() = default;
-
-  virtual const char* name() const = 0;
-
-  /// Duration of one transfer on an otherwise idle network.
-  virtual std::optional<sim::Time> idle_transfer(SiteId src, SiteId dst,
-                                                 Bytes bytes) = 0;
-
-  /// Simulate a batch of concurrent transfers. Outcomes are positional.
-  virtual std::vector<TransferOutcome> simulate(
-      const std::vector<TransferRequest>& requests) = 0;
-
-  const Wan& wan() const { return routes_.wan(); }
-  RouteTable& routes() { return routes_; }
-  const WanModelStats& stats() const { return stats_; }
-  void export_counters(obs::Registry& reg) const;
-
- protected:
-  RouteTable routes_;
-  WanModelStats stats_;
-};
-
-/// Store-and-forward packet backend: each transfer is timed in isolation
-/// with `Wan::transfer` (per-hop serialization + propagation). Batch
-/// transfers do not contend — the 1992-NOC view of the network.
-class PacketWanModel final : public WanModel {
- public:
-  explicit PacketWanModel(const Wan& wan, Bytes packet_bytes = 1500)
-      : WanModel(wan), packet_bytes_(packet_bytes) {}
-
-  const char* name() const override { return "packet"; }
-  std::optional<sim::Time> idle_transfer(SiteId src, SiteId dst,
-                                         Bytes bytes) override;
-  std::vector<TransferOutcome> simulate(
-      const std::vector<TransferRequest>& requests) override;
-
- private:
-  Bytes packet_bytes_;
-};
-
-/// Fluid flow-level backend: batch transfers share links by max-min
-/// fairness through the incremental FlowEngine.
-class FluidWanModel final : public WanModel {
- public:
-  explicit FluidWanModel(const Wan& wan) : WanModel(wan) {}
-
-  const char* name() const override { return "fluid"; }
-  std::optional<sim::Time> idle_transfer(SiteId src, SiteId dst,
-                                         Bytes bytes) override;
-  std::vector<TransferOutcome> simulate(
-      const std::vector<TransferRequest>& requests) override;
-};
+/// Simulate a batch of concurrent transfers sharing links by max-min
+/// fairness. Outcomes are positional: outcome i belongs to request i,
+/// whatever order the flows complete in. A request between
+/// disconnected sites gets `ok == false`; src == dst or zero bytes is
+/// a ContractError.
+std::vector<TransferOutcome> simulate_flows(
+    RouteTable& routes, const std::vector<TransferRequest>& requests);
 
 }  // namespace hpccsim::wan

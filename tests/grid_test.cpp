@@ -15,9 +15,9 @@
 #include "grid/grid_sim.hpp"
 #include "grid/workload.hpp"
 #include "obs/counters.hpp"
+#include "oracles/fluid_reference.hpp"
 #include "util/rng.hpp"
 #include "wan/flow_engine.hpp"
-#include "wan/flows.hpp"
 
 namespace hpccsim::grid {
 namespace {
@@ -361,8 +361,7 @@ TEST(FlowEngine, MatchesReferenceUnderFederationRushHour) {
   const wan::Wan& w = fed.wan();
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     hpccsim::Rng rng(seed);
-    wan::FlowSimulator engine_sim(w);
-    wan::FlowSimulator reference_sim(w);
+    std::vector<wan::TransferRequest> flows;
     for (int i = 0; i < 220; ++i) {
       // Mostly archive -> leaf pulls, some leaf -> leaf across the ring.
       const auto& leaves = fed.leaves();
@@ -373,25 +372,26 @@ TEST(FlowEngine, MatchesReferenceUnderFederationRushHour) {
       if (src == dst) continue;
       const Bytes bytes = 20'000'000 + rng.below(80'000'000);
       const auto start = Time::ms(static_cast<std::int64_t>(rng.below(2000)));
-      engine_sim.add_flow(src, dst, bytes, start);
-      reference_sim.add_flow(src, dst, bytes, start);
+      flows.push_back({src, dst, bytes, start});
     }
-    engine_sim.run();
-    reference_sim.run_reference();
-    ASSERT_EQ(engine_sim.flows().size(), reference_sim.flows().size());
+    wan::RouteTable routes(w);
+    const auto engine = wan::simulate_flows(routes, flows);
+    const auto reference =
+        wan::oracle::FluidReference(w, flows).run_reference();
+    ASSERT_EQ(engine.size(), reference.size());
 
     std::vector<std::pair<Time, int>> edges;  // +1 at start, -1 at finish
-    for (std::size_t f = 0; f < engine_sim.flows().size(); ++f) {
-      const wan::Flow& got = engine_sim.flows()[f];
-      const wan::Flow& want = reference_sim.flows()[f];
-      ASSERT_TRUE(got.done) << "seed " << seed << " flow " << f;
-      ASSERT_TRUE(want.done) << "seed " << seed << " flow " << f;
+    for (std::size_t f = 0; f < engine.size(); ++f) {
+      const wan::TransferOutcome& got = engine[f];
+      const wan::TransferOutcome& want = reference[f];
+      ASSERT_TRUE(got.ok) << "seed " << seed << " flow " << f;
+      ASSERT_TRUE(want.ok) << "seed " << seed << " flow " << f;
       EXPECT_NEAR(got.finish.as_sec(), want.finish.as_sec(),
                   1e-3 + want.finish.as_sec() * 1e-9)
           << "seed " << seed << " flow " << f;
       EXPECT_NEAR(got.slowdown, want.slowdown, 1e-3)
           << "seed " << seed << " flow " << f;
-      edges.emplace_back(want.start, +1);
+      edges.emplace_back(flows[f].start, +1);
       edges.emplace_back(want.finish, -1);
     }
     std::sort(edges.begin(), edges.end());  // finishes before starts on ties

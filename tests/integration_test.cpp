@@ -14,7 +14,6 @@
 #include "proc/machine.hpp"
 #include "sched/batch.hpp"
 #include "wan/consortium.hpp"
-#include "wan/flows.hpp"
 
 namespace hpccsim {
 namespace {

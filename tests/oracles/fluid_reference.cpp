@@ -1,33 +1,27 @@
-#include "wan/flows.hpp"
+#include "oracles/fluid_reference.hpp"
 
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "util/assert.hpp"
-#include "wan/flow_engine.hpp"
-#include "wan/model.hpp"
 
-namespace hpccsim::wan {
+namespace hpccsim::wan::oracle {
 
-FlowSimulator::FlowSimulator(const Wan& wan) : wan_(&wan) {}
-
-std::size_t FlowSimulator::add_flow(SiteId src, SiteId dst, Bytes bytes,
-                                    sim::Time start) {
-  HPCCSIM_EXPECTS(!ran_);  // single-shot: no late arrivals after run()
-  HPCCSIM_EXPECTS(bytes > 0);
-  HPCCSIM_EXPECTS(src != dst);
-  const auto path = wan_->widest_path(src, dst);
-  if (!path) throw std::invalid_argument("flow endpoints are disconnected");
-  Route route;
-  for (const std::size_t l : wan_->path_links(*path))
-    route.links.push_back(l);
-  flows_.push_back(Flow{src, dst, bytes, start, {}, false, 0.0});
-  routes_.push_back(std::move(route));
-  return flows_.size() - 1;
+FluidReference::FluidReference(const Wan& wan,
+                               std::vector<TransferRequest> flows)
+    : wan_(&wan), flows_(std::move(flows)) {
+  for (const TransferRequest& q : flows_) {
+    HPCCSIM_EXPECTS(q.bytes > 0);
+    HPCCSIM_EXPECTS(q.src != q.dst);
+    const auto path = wan_->widest_path(q.src, q.dst);
+    if (!path) throw std::invalid_argument("flow endpoints are disconnected");
+    routes_.push_back(wan_->path_links(*path));
+  }
 }
 
-std::vector<double> FlowSimulator::fair_rates(
+std::vector<double> FluidReference::fair_rates(
     const std::vector<std::size_t>& active,
     std::vector<std::size_t>* bottleneck_order) const {
   // Progressive water-filling: repeatedly find the most-constrained link
@@ -49,7 +43,7 @@ std::vector<double> FlowSimulator::fair_rates(
     std::vector<int> users(cap.size(), 0);
     for (const std::size_t f : active)
       if (!frozen[f])
-        for (const std::size_t l : routes_[f].links) ++users[l];
+        for (const std::size_t l : routes_[f]) ++users[l];
 
     double best_share = std::numeric_limits<double>::infinity();
     std::size_t best_link = cap.size();
@@ -67,7 +61,7 @@ std::vector<double> FlowSimulator::fair_rates(
     // Freeze the bottleneck link's flows at the fair share.
     for (const std::size_t f : active) {
       if (frozen[f]) continue;
-      const auto& ls = routes_[f].links;
+      const auto& ls = routes_[f];
       if (std::find(ls.begin(), ls.end(), best_link) == ls.end()) continue;
       rate[f] = best_share;
       frozen[f] = true;
@@ -77,48 +71,21 @@ std::vector<double> FlowSimulator::fair_rates(
   return rate;
 }
 
-void FlowSimulator::finish_flow(std::size_t f, sim::Time finish) {
-  Flow& fl = flows_[f];
-  fl.done = true;
-  fl.finish = finish;
+TransferOutcome FluidReference::finished(std::size_t f,
+                                         sim::Time finish) const {
   // Idle-network fluid duration: bytes / route bottleneck.
   double bottleneck = std::numeric_limits<double>::infinity();
-  for (const std::size_t l : routes_[f].links)
+  for (const std::size_t l : routes_[f])
     bottleneck = std::min(
         bottleneck, link_bandwidth(wan_->links()[l].type).bytes_per_sec());
-  const double idle_s = static_cast<double>(fl.bytes) / bottleneck;
-  fl.slowdown = (fl.finish - fl.start).as_sec() / idle_s;
+  const double idle_s = static_cast<double>(flows_[f].bytes) / bottleneck;
+  return TransferOutcome{true, finish,
+                         (finish - flows_[f].start).as_sec() / idle_s};
 }
 
-void FlowSimulator::run() {
-  HPCCSIM_EXPECTS(!ran_);
-  ran_ = true;
-
-  // Feed flows in (start, index) order; the engine delivers completions
-  // as simulated time advances past each arrival.
-  std::vector<std::size_t> order(flows_.size());
-  for (std::size_t f = 0; f < order.size(); ++f) order[f] = f;
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return flows_[a].start < flows_[b].start;
-                   });
-
-  RouteTable routes(*wan_);
-  FlowEngine engine(routes);
-  const auto on_complete = [this](const FlowEngine::Completion& c) {
-    finish_flow(static_cast<std::size_t>(c.tag), c.finish);
-  };
-  for (const std::size_t f : order) {
-    engine.run_until(flows_[f].start, on_complete);
-    engine.start(flows_[f].src, flows_[f].dst, flows_[f].bytes, f);
-  }
-  engine.run_to_completion(on_complete);
-}
-
-void FlowSimulator::run_reference() {
-  HPCCSIM_EXPECTS(!ran_);
-  ran_ = true;
+std::vector<TransferOutcome> FluidReference::run_reference() const {
   const double kEps = 1e-6;  // bytes
+  std::vector<TransferOutcome> out(flows_.size());
   std::vector<double> remaining(flows_.size());
   for (std::size_t f = 0; f < flows_.size(); ++f)
     remaining[f] = static_cast<double>(flows_[f].bytes);
@@ -162,13 +129,14 @@ void FlowSimulator::run_reference() {
     std::vector<std::size_t> still;
     for (const std::size_t f : active) {
       if (remaining[f] <= kEps) {
-        finish_flow(f, sim::Time::sec(now_s));
+        out[f] = finished(f, sim::Time::sec(now_s));
       } else {
         still.push_back(f);
       }
     }
     active = std::move(still);
   }
+  return out;
 }
 
-}  // namespace hpccsim::wan
+}  // namespace hpccsim::wan::oracle

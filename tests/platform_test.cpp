@@ -259,6 +259,35 @@ TEST(PlatformSimulator, CooperativeBeatsUncoordinatedWhenCfsSaturated) {
   EXPECT_LT(waste[1], waste[0]);
 }
 
+// One small month under each strategy, pinned exactly: a change to
+// WaitQueue::schedule_pass (shared with the batch simulator) that moves
+// any job start shows up here.
+TEST(PlatformSimulator, SmallMonthGoldens) {
+  const Mesh2D mesh(16, 8);
+  const auto trace = platform_workload(small_trace(), mesh);
+  struct Point {
+    CheckpointStrategy strategy;
+    std::int64_t backfilled;
+    double waste;
+  };
+  const Point golden[] = {
+      {CheckpointStrategy::Uncoordinated, 99, 0.36106492156927983},
+      {CheckpointStrategy::FifoCooperative, 99, 0.36221856944126163},
+      {CheckpointStrategy::OrderedCooperative, 99, 0.36221856944126163},
+  };
+  for (const Point& p : golden) {
+    PlatformConfig cfg;
+    cfg.strategy = p.strategy;
+    cfg.node_mtbf = Time::sec(10.0 * 86400.0);
+    cfg.io_disks = 2;
+    PlatformSimulator sim(mesh, cfg);
+    sim.submit(trace);
+    const PlatformResult r = sim.run();
+    EXPECT_EQ(r.backfilled, p.backfilled) << strategy_name(p.strategy);
+    EXPECT_EQ(r.waste(), p.waste) << strategy_name(p.strategy);
+  }
+}
+
 TEST(PlatformSimulator, ResultIsDeterministic) {
   const Mesh2D mesh(16, 8);
   auto once = [&] {

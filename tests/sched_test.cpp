@@ -317,6 +317,43 @@ TEST(Batch, BackfillImprovesWaitAndUtilization) {
   EXPECT_GE(easy.utilization, fcfs.utilization * 0.99);
 }
 
+// The testbed_ops exhibit's seeds at 80 jobs, pinned exactly: a change
+// to WaitQueue::schedule_pass (shared with the platform simulator) that
+// moves any job start shows up here.
+TEST(Batch, ConsortiumDayGoldens) {
+  struct Point {
+    SchedulePolicy policy;
+    std::uint64_t seed;
+    std::uint64_t makespan_ps;
+    std::int64_t backfilled;
+    double mean_wait_min;
+  };
+  const Point golden[] = {
+      {SchedulePolicy::FCFS, 3, 121366335243353107u, 0, 793.07595075293034},
+      {SchedulePolicy::FCFS, 17, 86408889837815459u, 0, 326.00662860976212},
+      {SchedulePolicy::FCFS, 29, 92281274090526058u, 0, 442.55353676250525},
+      {SchedulePolicy::EasyBackfill, 3, 108075360678291770u, 57,
+       189.24351223020415},
+      {SchedulePolicy::EasyBackfill, 17, 79566068036305568u, 48,
+       114.55382158881775},
+      {SchedulePolicy::EasyBackfill, 29, 86692398194482637u, 55,
+       174.0007859616716},
+  };
+  for (const Point& p : golden) {
+    BatchSimulator sim(Mesh2D(33, 16), p.policy);
+    for (Job& j : consortium_workload(80, 528, p.seed))
+      sim.submit(std::move(j));
+    const BatchResult r = sim.run();
+    EXPECT_EQ(r.makespan.picoseconds(), p.makespan_ps)
+        << policy_name(p.policy) << " seed " << p.seed;
+    EXPECT_EQ(r.backfilled, p.backfilled)
+        << policy_name(p.policy) << " seed " << p.seed;
+    EXPECT_EQ(r.requeued, 0) << policy_name(p.policy) << " seed " << p.seed;
+    EXPECT_EQ(r.wait_minutes.mean(), p.mean_wait_min)
+        << policy_name(p.policy) << " seed " << p.seed;
+  }
+}
+
 TEST(Batch, WorkloadGeneratorIsDeterministicAndBounded) {
   const auto a = consortium_workload(50, 528, 9);
   const auto b = consortium_workload(50, 528, 9);

@@ -1,14 +1,19 @@
 // Tests for the WAN module: link services, routing (widest / fastest
-// path), store-and-forward transfer timing, and the consortium topology
-// from the paper's figure.
+// path), store-and-forward transfer timing, the consortium topology
+// from the paper's figure, and max-min fluid flows (simulate_flows,
+// cross-checked against the reference in tests/oracles/).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
-#include "util/rng.hpp"
+#include <stdexcept>
+#include <vector>
 
+#include "oracles/fluid_reference.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "wan/consortium.hpp"
-#include "wan/flows.hpp"
+#include "wan/model.hpp"
 #include "wan/wan.hpp"
 
 namespace hpccsim::wan {
@@ -211,6 +216,7 @@ TEST(Consortium, BackboneRoutesUseT3) {
 namespace hpccsim::wan {
 namespace {
 
+using oracle::FluidReference;
 using sim::Time;
 
 Wan two_link_line() {
@@ -223,30 +229,31 @@ Wan two_link_line() {
   return w;
 }
 
+/// simulate_flows on a fresh route table.
+std::vector<TransferOutcome> simulate(const Wan& w,
+                                      const std::vector<TransferRequest>& q) {
+  RouteTable routes(w);
+  return simulate_flows(routes, q);
+}
+
 TEST(Flows, SingleFlowRunsAtBottleneck) {
   const Wan w = two_link_line();
-  FlowSimulator sim(w);
-  const Bytes mb10 = 10'000'000;
-  sim.add_flow(0, 2, mb10);
-  sim.run();
-  const Flow& f = sim.flows()[0];
-  EXPECT_TRUE(f.done);
+  const auto out = simulate(w, {{0, 2, 10'000'000, Time::zero()}});
+  EXPECT_TRUE(out[0].ok);
   // 10 MB at T3 (5.592 MB/s): ~1.79 s.
-  EXPECT_NEAR(f.finish.as_sec(), 10e6 / (44.736e6 / 8), 0.01);
-  EXPECT_NEAR(f.slowdown, 1.0, 1e-6);
+  EXPECT_NEAR(out[0].finish.as_sec(), 10e6 / (44.736e6 / 8), 0.01);
+  EXPECT_NEAR(out[0].slowdown, 1.0, 1e-6);
 }
 
 TEST(Flows, TwoFlowsShareALinkEqually) {
   const Wan w = two_link_line();
-  FlowSimulator sim(w);
-  sim.add_flow(0, 2, 10'000'000);
-  sim.add_flow(0, 2, 10'000'000);
-  sim.run();
+  const auto out = simulate(w, {{0, 2, 10'000'000, Time::zero()},
+                                {0, 2, 10'000'000, Time::zero()}});
   // Both cross both links; each gets half the T3; both finish together
   // at 2x the isolated duration.
-  EXPECT_NEAR(sim.flows()[0].slowdown, 2.0, 0.01);
-  EXPECT_NEAR(sim.flows()[1].slowdown, 2.0, 0.01);
-  EXPECT_EQ(sim.flows()[0].finish, sim.flows()[1].finish);
+  EXPECT_NEAR(out[0].slowdown, 2.0, 0.01);
+  EXPECT_NEAR(out[1].slowdown, 2.0, 0.01);
+  EXPECT_EQ(out[0].finish, out[1].finish);
 }
 
 TEST(Flows, DisjointFlowsDoNotInterfere) {
@@ -257,38 +264,34 @@ TEST(Flows, DisjointFlowsDoNotInterfere) {
   const SiteId d = w.add_site("d");
   w.add_link(a, b, LinkType::T1, Time::ms(1));
   w.add_link(c, d, LinkType::T1, Time::ms(1));
-  FlowSimulator sim(w);
-  sim.add_flow(a, b, 1'000'000);
-  sim.add_flow(c, d, 1'000'000);
-  sim.run();
-  EXPECT_NEAR(sim.flows()[0].slowdown, 1.0, 1e-6);
-  EXPECT_NEAR(sim.flows()[1].slowdown, 1.0, 1e-6);
+  const auto out = simulate(w, {{a, b, 1'000'000, Time::zero()},
+                                {c, d, 1'000'000, Time::zero()}});
+  EXPECT_NEAR(out[0].slowdown, 1.0, 1e-6);
+  EXPECT_NEAR(out[1].slowdown, 1.0, 1e-6);
 }
 
 TEST(Flows, ShortFlowFinishesThenLongSpeedsUp) {
   const Wan w = two_link_line();
-  FlowSimulator sim(w);
   const double t3 = 44.736e6 / 8;  // bytes per second
-  sim.add_flow(0, 2, static_cast<Bytes>(t3 * 2));  // 2 s alone
-  sim.add_flow(0, 2, static_cast<Bytes>(t3 * 1));  // 1 s alone
-  sim.run();
+  const auto out =
+      simulate(w, {{0, 2, static_cast<Bytes>(t3 * 2), Time::zero()},  // 2 s
+                   {0, 2, static_cast<Bytes>(t3 * 1), Time::zero()}}); // 1 s
   // Shared until the short one finishes at t=2 (each at half rate);
   // the long one then runs alone: total 2 + 1 = 3 s.
-  EXPECT_NEAR(sim.flows()[1].finish.as_sec(), 2.0, 0.01);
-  EXPECT_NEAR(sim.flows()[0].finish.as_sec(), 3.0, 0.01);
+  EXPECT_NEAR(out[1].finish.as_sec(), 2.0, 0.01);
+  EXPECT_NEAR(out[0].finish.as_sec(), 3.0, 0.01);
 }
 
 TEST(Flows, StaggeredStartsRespected) {
   const Wan w = two_link_line();
-  FlowSimulator sim(w);
   const double t3 = 44.736e6 / 8;
-  sim.add_flow(0, 2, static_cast<Bytes>(t3 * 1), Time::sec(0));
-  sim.add_flow(0, 2, static_cast<Bytes>(t3 * 1), Time::sec(10));
-  sim.run();
+  const auto out =
+      simulate(w, {{0, 2, static_cast<Bytes>(t3 * 1), Time::sec(0)},
+                   {0, 2, static_cast<Bytes>(t3 * 1), Time::sec(10)}});
   // No overlap at all: both run at full rate.
-  EXPECT_NEAR(sim.flows()[0].finish.as_sec(), 1.0, 0.01);
-  EXPECT_NEAR(sim.flows()[1].finish.as_sec(), 11.0, 0.01);
-  EXPECT_NEAR(sim.flows()[1].slowdown, 1.0, 0.01);
+  EXPECT_NEAR(out[0].finish.as_sec(), 1.0, 0.01);
+  EXPECT_NEAR(out[1].finish.as_sec(), 11.0, 0.01);
+  EXPECT_NEAR(out[1].slowdown, 1.0, 0.01);
 }
 
 TEST(Flows, FairRatesWaterFilling) {
@@ -300,55 +303,47 @@ TEST(Flows, FairRatesWaterFilling) {
   const SiteId c = w.add_site("c");
   w.add_link(a, b, LinkType::T3, Time::ms(1));
   w.add_link(b, c, LinkType::T1, Time::ms(1));
-  FlowSimulator sim(w);
-  const auto f1 = sim.add_flow(a, c, 1'000'000);  // crosses T3 + T1
-  const auto f2 = sim.add_flow(a, b, 1'000'000);  // T3 only
-  const auto rates = sim.fair_rates({f1, f2});
+  const FluidReference ref(w, {{a, c, 1'000'000, Time::zero()},   // T3 + T1
+                               {a, b, 1'000'000, Time::zero()}}); // T3 only
+  const auto rates = ref.fair_rates({0, 1});
   const double t1 = 1.544e6 / 8, t3 = 44.736e6 / 8;
-  EXPECT_NEAR(rates[f1], t1, 1.0);
-  EXPECT_NEAR(rates[f2], t3 - t1, 1.0);
+  EXPECT_NEAR(rates[0], t1, 1.0);
+  EXPECT_NEAR(rates[1], t3 - t1, 1.0);
 }
 
 TEST(Flows, ConsortiumRushHour) {
   // Everyone pulls from the Delta at once; HIPPI partners are immune,
   // the T1 crowd shares the backbone attachments.
   const Wan w = consortium_network();
-  FlowSimulator sim(w);
   const SiteId delta = w.site_by_name("Caltech-Delta");
   const Bytes mb = 20'000'000;
-  const auto jpl = sim.add_flow(delta, w.site_by_name("JPL"), mb);
-  const auto rice = sim.add_flow(delta, w.site_by_name("CRPC-Rice"), mb);
-  const auto purdue = sim.add_flow(delta, w.site_by_name("Purdue"), mb);
-  const auto mich = sim.add_flow(delta, w.site_by_name("Michigan"), mb);
-  sim.run();
-  EXPECT_NEAR(sim.flows()[jpl].slowdown, 1.0, 0.01);  // own HIPPI channel
+  const auto out =
+      simulate(w, {{delta, w.site_by_name("JPL"), mb, Time::zero()},
+                   {delta, w.site_by_name("CRPC-Rice"), mb, Time::zero()},
+                   {delta, w.site_by_name("Purdue"), mb, Time::zero()},
+                   {delta, w.site_by_name("Michigan"), mb, Time::zero()}});
+  EXPECT_NEAR(out[0].slowdown, 1.0, 0.01);  // own HIPPI channel
   // The three T1 tails have distinct last hops, so each is bottlenecked
   // by its own T1, not by sharing: slowdowns stay near 1 as long as the
   // shared T3 has headroom (3 x T1 << T3).
-  EXPECT_NEAR(sim.flows()[rice].slowdown, 1.0, 0.05);
-  EXPECT_NEAR(sim.flows()[purdue].slowdown, 1.0, 0.05);
-  EXPECT_NEAR(sim.flows()[mich].slowdown, 1.0, 0.05);
+  EXPECT_NEAR(out[1].slowdown, 1.0, 0.05);
+  EXPECT_NEAR(out[2].slowdown, 1.0, 0.05);
+  EXPECT_NEAR(out[3].slowdown, 1.0, 0.05);
 }
 
 TEST(Flows, RejectsBadFlows) {
   Wan w;
   w.add_site("a");
   w.add_site("island");
-  FlowSimulator sim(w);
-  EXPECT_THROW(sim.add_flow(0, 1, 100), std::invalid_argument);
-  EXPECT_THROW(sim.add_flow(0, 0, 100), ContractError);
-}
-
-TEST(Flows, SingleShotLifecycle) {
-  // The simulator is single-shot: once run() has consumed the flow set,
-  // late add_flow() and a second run() both violate the contract.
-  const Wan w = two_link_line();
-  FlowSimulator sim(w);
-  sim.add_flow(0, 2, 1'000'000);
-  sim.run();
-  EXPECT_THROW(sim.add_flow(0, 2, 1'000'000), ContractError);
-  EXPECT_THROW(sim.run(), ContractError);
-  EXPECT_THROW(sim.run_reference(), ContractError);
+  // A disconnected pair is reported in its outcome, not thrown.
+  const auto out = simulate(w, {{0, 1, 100, Time::zero()}});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(out[0].ok);
+  EXPECT_THROW(simulate(w, {{0, 0, 100, Time::zero()}}), ContractError);
+  EXPECT_THROW(simulate(two_link_line(), {{0, 2, 0, Time::zero()}}),
+               ContractError);
+  EXPECT_THROW(FluidReference(w, {{0, 1, 100, Time::zero()}}),
+               std::invalid_argument);
 }
 
 TEST(Flows, FairRatesGoldenValuesAndBottleneckOrder) {
@@ -361,17 +356,16 @@ TEST(Flows, FairRatesGoldenValuesAndBottleneckOrder) {
   const SiteId c = w.add_site("c");
   w.add_link(a, b, LinkType::T3, Time::ms(1));  // link 0
   w.add_link(b, c, LinkType::T1, Time::ms(1));  // link 1
-  FlowSimulator sim(w);
-  const auto f1 = sim.add_flow(a, c, 1'000'000);  // T3 + T1
-  const auto f2 = sim.add_flow(a, b, 1'000'000);  // T3 only
+  const FluidReference ref(w, {{a, c, 1'000'000, Time::zero()},   // T3 + T1
+                               {a, b, 1'000'000, Time::zero()}}); // T3 only
   std::vector<std::size_t> order;
-  const auto rates = sim.fair_rates({f1, f2}, &order);
+  const auto rates = ref.fair_rates({0, 1}, &order);
   const double t1 = link_bandwidth(LinkType::T1).bytes_per_sec();
   const double t3 = link_bandwidth(LinkType::T3).bytes_per_sec();
   // Golden values: exact doubles, not approximations — the pinned
   // evaluation order makes these bit-stable.
-  EXPECT_EQ(rates[f1], t1);
-  EXPECT_EQ(rates[f2], t3 - t1);
+  EXPECT_EQ(rates[0], t1);
+  EXPECT_EQ(rates[1], t3 - t1);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1u);  // T1 saturates first
   EXPECT_EQ(order[1], 0u);
@@ -382,16 +376,61 @@ TEST(Flows, FairRatesTieBreaksOnLowestLinkIndex) {
   // identical share, so the pinned tie-break freezes link 0. Everyone
   // is frozen after that round, so link 1 never appears in the order.
   const Wan w = two_link_line();
-  FlowSimulator sim(w);
-  const auto f1 = sim.add_flow(0, 2, 1'000'000);
-  const auto f2 = sim.add_flow(0, 2, 1'000'000);
+  const FluidReference ref(w, {{0, 2, 1'000'000, Time::zero()},
+                               {0, 2, 1'000'000, Time::zero()}});
   std::vector<std::size_t> order;
-  const auto rates = sim.fair_rates({f1, f2}, &order);
+  const auto rates = ref.fair_rates({0, 1}, &order);
   const double t3 = link_bandwidth(LinkType::T3).bytes_per_sec();
-  EXPECT_EQ(rates[f1], t3 / 2.0);
-  EXPECT_EQ(rates[f2], t3 / 2.0);
+  EXPECT_EQ(rates[0], t3 / 2.0);
+  EXPECT_EQ(rates[1], t3 / 2.0);
   ASSERT_EQ(order.size(), 1u);
   EXPECT_EQ(order[0], 0u);
+}
+
+// The six points of the nren_rush_hour exhibit: the Delta pushes one
+// file to every endpoint site at once (backbone nodes are not
+// endpoints), on the 1992 network and on the NREN upgrade. The
+// exhibit's stdout and JSON are gated byte-for-byte, so the mean
+// transfer time, worst transfer time and mean slowdown are pinned as
+// exact doubles, aggregated in request order as the exhibit does.
+TEST(Flows, NrenRushHourGoldens) {
+  struct Point {
+    std::int64_t mb;
+    bool nren;
+    double mean_s, worst_s, mean_slowdown;
+  };
+  const Point golden[] = {
+      {1, false, 16.286964689418909, 142.857142857143, 1.0003515876819329},
+      {1, true, 0.13289089180900002, 0.17882689556600001, 1.0107695033764161},
+      {10, false, 162.86964689418085, 1428.5714285714289, 1.0003515876572766},
+      {10, true, 1.3289089180819091, 1.7882689556510001, 1.0107695033573012},
+      {100, false, 1628.6964689418039, 14285.714285714288, 1.0003515876551823},
+      {100, true, 13.289089180816822, 17.882689556510002, 1.0107695033550286},
+  };
+  const Wan now = consortium_network();
+  const Wan nren = nren_upgraded_network();
+  for (const Point& p : golden) {
+    const Wan& net = p.nren ? nren : now;
+    const SiteId delta = net.site_by_name("Caltech-Delta");
+    std::vector<TransferRequest> pulls;
+    for (SiteId s = 0; s < net.site_count(); ++s) {
+      const auto& name = net.site_name(s);
+      if (s == delta || name.rfind("NSFnet", 0) == 0 || name == "ESnet-Hub")
+        continue;
+      pulls.push_back({delta, s, static_cast<Bytes>(p.mb) * 1000 * 1000,
+                       Time::zero()});
+    }
+    const auto out = simulate(net, pulls);
+    RunningStat dur, slow;
+    for (const TransferOutcome& o : out) {
+      ASSERT_TRUE(o.ok);
+      dur.add(o.finish.as_sec());
+      slow.add(o.slowdown);
+    }
+    EXPECT_EQ(dur.mean(), p.mean_s) << p.mb << " MB nren=" << p.nren;
+    EXPECT_EQ(dur.max(), p.worst_s) << p.mb << " MB nren=" << p.nren;
+    EXPECT_EQ(slow.mean(), p.mean_slowdown) << p.mb << " MB nren=" << p.nren;
+  }
 }
 
 }  // namespace
@@ -509,13 +548,11 @@ TEST(FlowProperty, SingleFlowMatchesIdleBottleneckTime) {
     const Bytes bytes = 1'000'000 + rng.below(50'000'000);
     const auto packet = w.transfer(delta, dst, bytes);
     ASSERT_TRUE(packet.has_value());
-    FlowSimulator sim(w);
-    const auto f = sim.add_flow(delta, dst, bytes);
-    sim.run();
+    const auto out = simulate(w, {{delta, dst, bytes, Time::zero()}});
     const double idle =
         static_cast<double>(bytes) / packet->bottleneck.bytes_per_sec();
-    EXPECT_NEAR(sim.flows()[f].finish.as_sec(), idle, idle * 1e-6 + 1e-6);
-    EXPECT_NEAR(sim.flows()[f].slowdown, 1.0, 1e-9);
+    EXPECT_NEAR(out[0].finish.as_sec(), idle, idle * 1e-6 + 1e-6);
+    EXPECT_NEAR(out[0].slowdown, 1.0, 1e-9);
   }
 }
 
@@ -525,32 +562,28 @@ TEST(FlowProperty, SingleFlowMatchesIdleBottleneckTime) {
 // lone 56 kbps regional site.
 TEST(FlowProperty, ContentionPreservesServiceHierarchy) {
   const Wan w = consortium_network();
-  FlowSimulator sim(w);
   const SiteId delta = w.site_by_name("Caltech-Delta");
   const Bytes mb = 20'000'000;
-  const auto hippi = sim.add_flow(delta, w.site_by_name("JPL"), mb);
-  const auto t3 = sim.add_flow(delta, w.site_by_name("NSFnet-West"), mb);
-  const auto t1 = sim.add_flow(delta, w.site_by_name("CRPC-Rice"), mb);
-  const auto slow = sim.add_flow(delta, w.site_by_name("Delaware"), mb);
-  sim.run();
-  const auto secs = [&](std::size_t f) {
-    return sim.flows()[f].finish.as_sec();
-  };
-  EXPECT_GT(secs(t3) / secs(hippi), 5.0);
-  EXPECT_GT(secs(t1) / secs(t3), 5.0);
-  EXPECT_GT(secs(slow) / secs(t1), 5.0);
+  const auto out =
+      simulate(w, {{delta, w.site_by_name("JPL"), mb, Time::zero()},
+                   {delta, w.site_by_name("NSFnet-West"), mb, Time::zero()},
+                   {delta, w.site_by_name("CRPC-Rice"), mb, Time::zero()},
+                   {delta, w.site_by_name("Delaware"), mb, Time::zero()}});
+  const auto secs = [&](std::size_t f) { return out[f].finish.as_sec(); };
+  EXPECT_GT(secs(1) / secs(0), 5.0);  // T3 backbone vs HIPPI
+  EXPECT_GT(secs(2) / secs(1), 5.0);  // T1 tail vs T3
+  EXPECT_GT(secs(3) / secs(2), 5.0);  // 56 kbps vs T1
 }
 
-// The incremental engine against the retained full-recompute oracle:
-// randomized flow sets on the consortium topology must produce the
-// same finish times (up to the engine's picosecond event rounding).
+// The incremental engine against the full-recompute oracle: randomized
+// flow sets on the consortium topology must produce the same finish
+// times (up to the engine's picosecond event rounding).
 TEST(FlowProperty, EngineMatchesReferenceOnRandomScenarios) {
   const Wan w = consortium_network();
   const SiteId delta = w.site_by_name("Caltech-Delta");
   hpccsim::Rng rng(92);
   for (int trial = 0; trial < 12; ++trial) {
-    FlowSimulator engine_sim(w);
-    FlowSimulator reference_sim(w);
+    std::vector<TransferRequest> flows;
     const int n = 3 + static_cast<int>(rng.below(12));
     for (int i = 0; i < n; ++i) {
       // Mix hub fan-out with random site pairs; skip unroutable pairs.
@@ -561,17 +594,16 @@ TEST(FlowProperty, EngineMatchesReferenceOnRandomScenarios) {
       if (!w.widest_path(src, dst).has_value()) continue;
       const Bytes bytes = 500'000 + rng.below(30'000'000);
       const auto start = Time::ms(static_cast<std::int64_t>(rng.below(5000)));
-      engine_sim.add_flow(src, dst, bytes, start);
-      reference_sim.add_flow(src, dst, bytes, start);
+      flows.push_back({src, dst, bytes, start});
     }
-    engine_sim.run();
-    reference_sim.run_reference();
-    ASSERT_EQ(engine_sim.flows().size(), reference_sim.flows().size());
-    for (std::size_t f = 0; f < engine_sim.flows().size(); ++f) {
-      const Flow& got = engine_sim.flows()[f];
-      const Flow& want = reference_sim.flows()[f];
-      ASSERT_TRUE(got.done) << "trial " << trial << " flow " << f;
-      ASSERT_TRUE(want.done) << "trial " << trial << " flow " << f;
+    const auto engine = simulate(w, flows);
+    const auto reference = FluidReference(w, flows).run_reference();
+    ASSERT_EQ(engine.size(), reference.size());
+    for (std::size_t f = 0; f < engine.size(); ++f) {
+      const TransferOutcome& got = engine[f];
+      const TransferOutcome& want = reference[f];
+      ASSERT_TRUE(got.ok) << "trial " << trial << " flow " << f;
+      ASSERT_TRUE(want.ok) << "trial " << trial << " flow " << f;
       EXPECT_NEAR(got.finish.as_sec(), want.finish.as_sec(),
                   1e-3 + want.finish.as_sec() * 1e-9)
           << "trial " << trial << " flow " << f;
